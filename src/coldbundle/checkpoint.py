@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,16 +30,14 @@ _MAGIC = b"CBCK1\n"
 
 STAGE_ORDER = {"stage1": 1, "stage2": 2, "stage3": 3}
 
+_HEADER_KEYS = {"stage", "config", "payload_sha256", "tensors"}
+
 
 @dataclass
 class Checkpoint:
     stage: str
     config: dict
     tensors: dict  # name -> float64 ndarray
-
-    @property
-    def content_hash(self) -> str:
-        return _payload_hash(self.tensors)
 
 
 def _payload(tensors: dict) -> bytes:
@@ -45,10 +46,6 @@ def _payload(tensors: dict) -> bytes:
         arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
         chunks.append(arr.astype("<f8").tobytes())
     return b"".join(chunks)
-
-
-def _payload_hash(tensors: dict) -> str:
-    return hashlib.sha256(_payload(tensors)).hexdigest()
 
 
 def save_checkpoint(path, stage: str, config: dict, tensors: dict) -> None:
@@ -82,18 +79,35 @@ def load_checkpoint(path, expect_stage: str | None = None) -> Checkpoint:
         if magic != _MAGIC:
             raise ContractError(f"{path} is not a checkpoint file")
         header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        # Checked before reading: a corrupt length must not size a buffer.
+        if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ContractError(f"{path}: header length {header_len} runs past the end of file")
+        raw = fh.read(header_len)
         payload = fh.read()
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ContractError(f"{path}: unreadable header ({exc})") from None
+    if not isinstance(header, dict) or not _HEADER_KEYS <= header.keys():
+        raise ContractError(f"{path}: header lacks one of {sorted(_HEADER_KEYS)}")
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise ContractError(f"{path}: payload hash mismatch (corrupt checkpoint)")
     if expect_stage is not None and header["stage"] != expect_stage:
         raise OrderingError(f"{path}: expected stage {expect_stage!r}, found {header['stage']!r}")
+    try:
+        entries = [(e["name"], tuple(operator.index(n) for n in e["shape"]))
+                   for e in header["tensors"]]
+    except (KeyError, TypeError) as exc:
+        raise ContractError(f"{path}: malformed tensor table ({exc!r})") from None
+    if any(not isinstance(name, str) or min(shape, default=0) < 0 for name, shape in entries):
+        raise ContractError(f"{path}: malformed tensor table")
+    counts = [math.prod(shape) for _, shape in entries]
+    if 8 * sum(counts) != len(payload):
+        raise ContractError(f"{path}: tensor shapes disagree with the payload length")
     tensors = {}
     offset = 0
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for (name, shape), count in zip(entries, counts):
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        tensors[name] = arr.reshape(shape).astype(np.float64)
         offset += count * 8
     return Checkpoint(stage=header["stage"], config=header["config"], tensors=tensors)

@@ -105,11 +105,9 @@ def run(args) -> int:
 
     if args.command == "ingest":
         catalog = ingest_remap(args.raw, out / "data")
-        with open(out / "data" / "catalog.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"n_users": catalog.n_users, "n_bundles": catalog.n_bundles,
-                       "n_items": catalog.n_items}, fh, sort_keys=True,
-                      separators=(",", ":"))
-            fh.write("\n")
+        pl._write_json(out / "data" / "catalog.json", {
+            "n_users": catalog.n_users, "n_bundles": catalog.n_bundles,
+            "n_items": catalog.n_items})
         print(f"{catalog.n_users} users, {catalog.n_bundles} bundles, "
               f"{catalog.n_items} items -> {out / 'data'}")
         return 0
@@ -124,9 +122,7 @@ def run(args) -> int:
     if args.command == "stats":
         stats = cold_stats(split)
         print(_stats_text(stats))
-        with open(out / "stats.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(stats.to_json_dict(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        pl._write_json(out / "stats.json", stats.to_json_dict())
         pl.update_manifest(out, cfg, {"stats": "stats.json"})
         return 0
 
@@ -152,7 +148,6 @@ def run(args) -> int:
         return 0
 
     if args.command == "hits":
-        experts, gp, gp0 = pl.load_trained(cfg, split, out)
         report = pl.run_eval(cfg, split, out)
         pl.write_hits_csv(report, out / "hits.csv")
         pl.update_manifest(out, cfg, {"hits": "hits.csv"})

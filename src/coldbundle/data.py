@@ -13,7 +13,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BoundsError, ContractError, DegenerateSplitError, ParseError
 from .rng import Rng
@@ -86,28 +85,11 @@ class InteractionSet:
         if self.cols.min() < 0 or self.cols.max() >= n_cols:
             raise BoundsError(f"{self.kind.value}: col id out of range [0, {n_cols})")
 
-    def to_csr(self, catalog: Catalog) -> sp.csr_matrix:
-        n_rows, n_cols = catalog.dims(self.kind)
-        data = np.ones(len(self), dtype=np.float64)
-        return sp.csr_matrix((data, (self.rows, self.cols)), shape=(n_rows, n_cols))
-
     def row_degrees(self, n_rows: int) -> np.ndarray:
         return np.bincount(self.rows, minlength=n_rows).astype(np.int64)
 
     def col_degrees(self, n_cols: int) -> np.ndarray:
         return np.bincount(self.cols, minlength=n_cols).astype(np.int64)
-
-    def row_adjacency(self, n_rows: int) -> list[np.ndarray]:
-        adj = [[] for _ in range(n_rows)]
-        for r, c in zip(self.rows.tolist(), self.cols.tolist()):
-            adj[r].append(c)
-        return [np.array(sorted(a), dtype=np.int64) for a in adj]
-
-    def col_adjacency(self, n_cols: int) -> list[np.ndarray]:
-        adj = [[] for _ in range(n_cols)]
-        for r, c in zip(self.rows.tolist(), self.cols.tolist()):
-            adj[c].append(r)
-        return [np.array(sorted(a), dtype=np.int64) for a in adj]
 
 
 def load_interactions(path, kind: Kind, catalog: Catalog | None = None) -> InteractionSet:

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .data import InteractionSet
 from .errors import ContractError, DivergenceError
-from .graph import bpr_loss, membership_matrix
+from .graph import _sample_negatives, bpr_loss, membership_matrix
 from .nn import Adam, Mlp
 from .rng import Rng
 
@@ -273,11 +273,7 @@ def pretrain_conditions(z: InteractionSet, n_bundles: int, n_items: int,
     n_pairs = len(z)
     for _ in range(config.epochs):
         order = rng.permutation(n_pairs)
-        neg = rng.integers(n_pairs, 0, n_items)
-        for j in range(n_pairs):
-            b = int(z.rows[order[j]])
-            while int(neg[j]) in members[b]:
-                neg[j] = int(rng.integers(1, 0, n_items)[0])
+        neg = _sample_negatives(rng, z.rows[order], np.arange(n_items), members)
         for start in range(0, n_pairs, config.batch_size):
             idx = order[start:start + config.batch_size]
             b, ip = z.rows[idx], z.cols[idx]

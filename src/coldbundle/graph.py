@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import InteractionSet, ScenarioSplit
-from .errors import ContractError, DivergenceError
+from .errors import ContractError, DegenerateSplitError, DivergenceError
 from .nn import Adam, _sigmoid
 from .rng import Rng
 
@@ -133,8 +133,17 @@ class PriorEmbeddings:
 
 def _sample_negatives(rng: Rng, users: np.ndarray, candidates: np.ndarray,
                       pos_sets: list[set]) -> np.ndarray:
-    """Negatives drawn from `candidates` (train-interacted bundles only, so
-    cold embeddings receive no gradient and stay at their initial values)."""
+    """One negative per row of `users`, drawn uniformly from the distinct ids
+    `candidates` outside the row's positive set, redrawing collisions.
+
+    Stage 1 passes train-interacted bundles only, so cold embeddings receive
+    no gradient and stay at their initial values.  A row whose positives
+    cover every candidate raises DegenerateSplitError before any draw.
+    """
+    for u in np.unique(users).tolist():
+        pos = pos_sets[u]
+        if len(pos) >= candidates.size and pos.issuperset(candidates.tolist()):
+            raise DegenerateSplitError(f"row {u} has no negative candidate left")
     neg = candidates[rng.integers(users.size, 0, candidates.size)]
     for i, u in enumerate(users.tolist()):
         while int(neg[i]) in pos_sets[u]:

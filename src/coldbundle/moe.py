@@ -18,8 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import ScenarioSplit
-from .errors import ContractError, DivergenceError
-from .graph import bpr_loss
+from .errors import ContractError, DegenerateSplitError, DivergenceError
+from .graph import _recall_at_k, _sample_negatives, bpr_loss
 from .nn import Adam
 from .rng import Rng
 
@@ -113,58 +113,91 @@ def output_gate(a_out: np.ndarray, w_out: np.ndarray) -> np.ndarray:
     return np.tanh(np.atleast_2d(a_out) @ w_out.T)
 
 
+def two_view_scores(ru_bint: np.ndarray, ru_iint: np.ndarray, fb: np.ndarray,
+                    fi: np.ndarray, w_out: np.ndarray | None):
+    """Scores of aligned (user, bundle) rows through both views, with a VJP.
+
+    y = g0 <ru_bint, fb> + g1 <ru_iint, fi> with g = tanh([fb, fi] @ w_out.T);
+    w_out None is unit output fusion (g = 1).  Returns (y, vjp), where
+    vjp(coef) gives the gradients of sum(coef * y) as (d_w_out, d_fb, d_fi),
+    d_w_out None under unit fusion.
+    """
+    s1 = np.sum(ru_bint * fb, axis=1)
+    s2 = np.sum(ru_iint * fi, axis=1)
+    if w_out is None:
+        def unit_vjp(coef):
+            cw = coef[:, None]
+            return None, cw * ru_bint, cw * ru_iint
+        return s1 + s2, unit_vjp
+
+    a_out = np.concatenate([fb, fi], axis=1)
+    g = output_gate(a_out, w_out)
+
+    def vjp(coef):
+        v = coef[:, None] * (1.0 - g * g) * np.stack([s1, s2], axis=1)
+        d_a = v @ w_out
+        d = fb.shape[1]
+        return (v.T @ a_out,
+                coef[:, None] * g[:, 0:1] * ru_bint + d_a[:, :d],
+                coef[:, None] * g[:, 1:2] * ru_iint + d_a[:, d:])
+    return g[:, 0] * s1 + g[:, 1] * s2, vjp
+
+
 def predict(u: int, b: int, x: ExpertOutputs, gp: GateParams) -> float:
     """Score of one user-bundle pair through both gating layers."""
     rb_bint, rb_iint, _, _ = fused_tables(x, gp)
-    a_out = np.concatenate([rb_bint[b], rb_iint[b]])
-    g = output_gate(a_out, gp.w_out)[0]
-    return float(g[0] * x.ru_bint[u] @ rb_bint[b] + g[1] * x.ru_iint[u] @ rb_iint[b])
+    y, _ = two_view_scores(x.ru_bint[[u]], x.ru_iint[[u]], rb_bint[[b]], rb_iint[[b]],
+                           gp.w_out)
+    return float(y[0])
+
+
+def _score_matrix(x: ExpertOutputs, rb_bint: np.ndarray, rb_iint: np.ndarray,
+                  g: np.ndarray | None = None) -> np.ndarray:
+    """(n_users, n_bundles) two-view product; g (n_bundles, 2) weights the
+    views per bundle, None sums them."""
+    if g is None:
+        return x.ru_bint @ rb_bint.T + x.ru_iint @ rb_iint.T
+    return (x.ru_bint @ rb_bint.T) * g[:, 0][None, :] + (x.ru_iint @ rb_iint.T) * g[:, 1][None, :]
 
 
 def score_all(x: ExpertOutputs, gp: GateParams) -> np.ndarray:
     """Full (n_users, n_bundles) score matrix."""
     rb_bint, rb_iint, _, _ = fused_tables(x, gp)
-    a_out = np.concatenate([rb_bint, rb_iint], axis=1)
-    g = output_gate(a_out, gp.w_out)
-    return (x.ru_bint @ rb_bint.T) * g[:, 0][None, :] + (x.ru_iint @ rb_iint.T) * g[:, 1][None, :]
+    g = output_gate(np.concatenate([rb_bint, rb_iint], axis=1), gp.w_out)
+    return _score_matrix(x, rb_bint, rb_iint, g)
 
 
 def score_all_no_moe(x: ExpertOutputs) -> np.ndarray:
     """Ablation: experts summed with equal weight, no gates."""
-    rb_bint = x.r_e_bint + x.r_d_bint
-    rb_iint = x.r_e_iint_b + x.r_d_iint_b
-    return x.ru_bint @ rb_bint.T + x.ru_iint @ rb_iint.T
+    return _score_matrix(x, x.r_e_bint + x.r_d_bint, x.r_e_iint_b + x.r_d_iint_b)
 
 
 def score_all_no_diff(x: ExpertOutputs) -> np.ndarray:
     """Ablation: prior-embedding experts only."""
-    return x.ru_bint @ x.r_e_bint.T + x.ru_iint @ x.r_e_iint_b.T
+    return _score_matrix(x, x.r_e_bint, x.r_e_iint_b)
 
 
-@dataclass
-class PseudoBundle:
-    """Convex interpolation of two source bundles with zeroed cold feature."""
-    b_x: int
-    b_y: int
-    lam: float
-    r_e_bint: np.ndarray
-    r_d_bint: np.ndarray
-    r_e_iint: np.ndarray  # aggregated item-layer reps, kept consistent across layers
-    r_d_iint: np.ndarray
-    feature: float = 0.0
+# Augmented triples, one record each: user u, a pseudo-positive mixing two
+# of u's train positives (pos_x, pos_y) at ratio pos_lam, and a
+# pseudo-negative mixing two bundles u never interacted with at neg_lam.
+PSEUDO_DTYPE = np.dtype([("u", np.int64),
+                         ("pos_x", np.int64), ("pos_y", np.int64), ("pos_lam", np.float64),
+                         ("neg_x", np.int64), ("neg_y", np.int64), ("neg_lam", np.float64)])
 
 
-def interpolate_pseudo(b_x: int, b_y: int, lam: float, x: ExpertOutputs) -> PseudoBundle:
-    if not 0.0 <= lam <= 1.0:
+def interpolate_pseudo(x: ExpertOutputs, bx: np.ndarray, by: np.ndarray,
+                       lam: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row-wise mixup of bundle pairs: every expert table t becomes
+    lam * t[bx] + (1 - lam) * t[by].  Returns the mixed
+    (r_e_bint, r_d_bint, r_e_iint, r_d_iint) rows; the item view mixes the
+    aggregated tables, so both layers stay consistent."""
+    lam = np.asarray(lam, dtype=np.float64)[:, None]
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ContractError("interpolation ratio outside [0, 1]")
-    if b_x == b_y:
+    if np.any(np.asarray(bx) == np.asarray(by)):
         raise ContractError("pseudo bundle needs two distinct sources")
-    mix = lambda a: lam * a[b_x] + (1.0 - lam) * a[b_y]
-    return PseudoBundle(
-        b_x=b_x, b_y=b_y, lam=lam,
-        r_e_bint=mix(x.r_e_bint), r_d_bint=mix(x.r_d_bint),
-        r_e_iint=mix(x.r_e_iint_b), r_d_iint=mix(x.r_d_iint_b),
-    )
+    return tuple(lam * t[bx] + (1.0 - lam) * t[by]
+                 for t in (x.r_e_bint, x.r_d_bint, x.r_e_iint_b, x.r_d_iint_b))
 
 
 @dataclass
@@ -178,46 +211,6 @@ class Stage3Config:
     seed: int = 0
 
 
-def _pair_scores_and_grads(x, gp, u, b, coef, acc):
-    """Accumulate gradients for real (user, bundle) score terms.
-
-    `acc` carries (g_w_out, GB, GI) plus the cached fused tables for the
-    current parameter values.
-    """
-    rb_bint, rb_iint, w_b, w_i, g_w_out, GB, GI = acc
-    d = x.d
-    ru1, ru2 = x.ru_bint[u], x.ru_iint[u]
-    fb, fi = rb_bint[b], rb_iint[b]
-    s1 = np.sum(ru1 * fb, axis=1)
-    s2 = np.sum(ru2 * fi, axis=1)
-    a_out = np.concatenate([fb, fi], axis=1)
-    g = np.tanh(a_out @ gp.w_out.T)
-    y = g[:, 0] * s1 + g[:, 1] * s2
-    s_vec = np.stack([s1, s2], axis=1)
-    v = coef[:, None] * (1.0 - g * g) * s_vec
-    g_w_out += v.T @ a_out
-    d_a = v @ gp.w_out
-    d_fb = coef[:, None] * g[:, 0:1] * ru1 + d_a[:, :d]
-    d_fi = coef[:, None] * g[:, 1:2] * ru2 + d_a[:, d:]
-    np.add.at(GB, b, d_fb)
-    np.add.at(GI, b, d_fi)
-    return y
-
-
-def _pseudo_scores_and_grads(x, gp, u_ru1, u_ru2, fb, fi, coef, g_w_out):
-    """Score pseudo bundles; only the output gate receives gradient
-    (zero features pin the view gates at [0.5, 0.5])."""
-    s1 = np.sum(u_ru1 * fb, axis=1)
-    s2 = np.sum(u_ru2 * fi, axis=1)
-    a_out = np.concatenate([fb, fi], axis=1)
-    g = np.tanh(a_out @ gp.w_out.T)
-    y = g[:, 0] * s1 + g[:, 1] * s2
-    s_vec = np.stack([s1, s2], axis=1)
-    v = coef[:, None] * (1.0 - g * g) * s_vec
-    g_w_out += v.T @ a_out
-    return y
-
-
 def _gate_grad_from_rep_grads(G, r_e, r_d, w, features):
     """Fold per-entity fused-rep gradients into the (2, 1) gate matrix."""
     p_e = np.sum(G * r_e, axis=1)
@@ -228,65 +221,65 @@ def _gate_grad_from_rep_grads(G, r_e, r_d, w, features):
     return np.array([[np.sum(glog_e * features)], [np.sum(glog_d * features)]])
 
 
-def stage3_loss_and_grads(x: ExpertOutputs, gp: GateParams,
-                          triples: tuple[np.ndarray, np.ndarray, np.ndarray],
-                          pseudo: list | None = None):
-    """Summed ranking loss over real and pseudo triples; exact gate gradients.
-
-    pseudo is a list of (u, PseudoBundle_pos, PseudoBundle_neg).
-    """
+def _real_triple_loss_and_grads(x: ExpertOutputs, gp: GateParams, triples,
+                                w_out: np.ndarray | None):
+    """Summed ranking loss of real triples scored by `two_view_scores`, and
+    its gradients [w_bint, w_iint, w_out] (w_out None: unit output fusion,
+    zero output-gate gradient)."""
     u, bp, bn = triples
     rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
-    g_w_out = np.zeros_like(gp.w_out)
     GB = np.zeros_like(x.r_e_bint)
     GI = np.zeros_like(x.r_e_iint_b)
-    acc = (rb_bint, rb_iint, w_b, w_i, g_w_out, GB, GI)
-
-    # First pass computes scores with unit coef to derive the loss weights,
-    # but gradient weights depend on the score difference, so score first.
-    def pair_scores(users, bundles):
-        ru1, ru2 = x.ru_bint[users], x.ru_iint[users]
-        fb, fi = rb_bint[bundles], rb_iint[bundles]
-        s1 = np.sum(ru1 * fb, axis=1)
-        s2 = np.sum(ru2 * fi, axis=1)
-        g = np.tanh(np.concatenate([fb, fi], axis=1) @ gp.w_out.T)
-        return g[:, 0] * s1 + g[:, 1] * s2
-
-    total_loss = 0.0
+    g_w_out = np.zeros_like(gp.w_out)
+    loss = 0.0
     if u.size:
-        y_pos = pair_scores(u, bp)
-        y_neg = pair_scores(u, bn)
+        ru1, ru2 = x.ru_bint[u], x.ru_iint[u]
+        y_pos, vjp_pos = two_view_scores(ru1, ru2, rb_bint[bp], rb_iint[bp], w_out)
+        y_neg, vjp_neg = two_view_scores(ru1, ru2, rb_bint[bn], rb_iint[bn], w_out)
         loss, c = bpr_loss(y_pos, y_neg)
-        total_loss += loss
-        _pair_scores_and_grads(x, gp, u, bp, c, acc)
-        _pair_scores_and_grads(x, gp, u, bn, -c, acc)
-
-    if pseudo:
-        pu = np.array([p[0] for p in pseudo], dtype=np.int64)
-        fb_pos = np.stack([0.5 * (p[1].r_e_bint + p[1].r_d_bint) for p in pseudo])
-        fi_pos = np.stack([0.5 * (p[1].r_e_iint + p[1].r_d_iint) for p in pseudo])
-        fb_neg = np.stack([0.5 * (p[2].r_e_bint + p[2].r_d_bint) for p in pseudo])
-        fi_neg = np.stack([0.5 * (p[2].r_e_iint + p[2].r_d_iint) for p in pseudo])
-        ru1, ru2 = x.ru_bint[pu], x.ru_iint[pu]
-        yp = _pseudo_scores_and_grads(x, gp, ru1, ru2, fb_pos, fi_pos,
-                                      np.zeros(pu.size), np.zeros_like(gp.w_out))
-        yn = _pseudo_scores_and_grads(x, gp, ru1, ru2, fb_neg, fi_neg,
-                                      np.zeros(pu.size), np.zeros_like(gp.w_out))
-        loss, c = bpr_loss(yp, yn)
-        total_loss += loss
-        _pseudo_scores_and_grads(x, gp, ru1, ru2, fb_pos, fi_pos, c, g_w_out)
-        _pseudo_scores_and_grads(x, gp, ru1, ru2, fb_neg, fi_neg, -c, g_w_out)
-
+        for b, vjp, coef in ((bp, vjp_pos, c), (bn, vjp_neg, -c)):
+            d_w, d_fb, d_fi = vjp(coef)
+            if d_w is not None:
+                g_w_out += d_w
+            np.add.at(GB, b, d_fb)
+            np.add.at(GI, b, d_fi)
     g_w_bint = _gate_grad_from_rep_grads(GB, x.r_e_bint, x.r_d_bint, w_b, x.bundle_feature)
     GI_items = x.agg.T @ GI
     g_w_iint = _gate_grad_from_rep_grads(GI_items, x.r_e_items, x.r_d_items, w_i, x.item_feature)
-    return total_loss, [g_w_bint, g_w_iint, g_w_out]
+    return loss, [g_w_bint, g_w_iint, g_w_out]
 
 
-def sample_pseudo_triples(split: ScenarioSplit, x: ExpertOutputs, count: int,
-                          beta_alpha: float, rng: Rng) -> list:
-    """`count` augmented triples: pseudo-positive interpolates two of the
-    user's train positives, pseudo-negative two never-interacted bundles."""
+def stage3_loss_and_grads(x: ExpertOutputs, gp: GateParams,
+                          triples: tuple[np.ndarray, np.ndarray, np.ndarray],
+                          pseudo: np.ndarray | None = None):
+    """Summed ranking loss over real and pseudo triples; exact gate gradients.
+
+    pseudo is a PSEUDO_DTYPE record array.  Pseudo bundles carry a zero cold
+    feature, which pins both view gates at [0.5, 0.5], so only the output
+    gate receives their gradient.
+    """
+    total_loss, grads = _real_triple_loss_and_grads(x, gp, triples, gp.w_out)
+    if pseudo is not None and len(pseudo):
+        ru1, ru2 = x.ru_bint[pseudo["u"]], x.ru_iint[pseudo["u"]]
+        sides = []
+        for side in ("pos", "neg"):
+            e_b, d_b, e_i, d_i = interpolate_pseudo(
+                x, pseudo[side + "_x"], pseudo[side + "_y"], pseudo[side + "_lam"])
+            sides.append(two_view_scores(ru1, ru2, 0.5 * (e_b + d_b), 0.5 * (e_i + d_i),
+                                         gp.w_out))
+        (y_pos, vjp_pos), (y_neg, vjp_neg) = sides
+        loss, c = bpr_loss(y_pos, y_neg)
+        total_loss += loss
+        grads[2] += vjp_pos(c)[0]
+        grads[2] += vjp_neg(-c)[0]
+    return total_loss, grads
+
+
+def sample_pseudo_triples(split: ScenarioSplit, count: int, beta_alpha: float,
+                          rng: Rng) -> np.ndarray:
+    """`count` augmented triples as a PSEUDO_DTYPE record array:
+    pseudo-positive interpolates two of the user's train positives,
+    pseudo-negative two never-interacted bundles."""
     cat = split.catalog
     pos_by_user = [[] for _ in range(cat.n_users)]
     for u, b in zip(split.train_x.rows.tolist(), split.train_x.cols.tolist()):
@@ -296,58 +289,55 @@ def sample_pseudo_triples(split: ScenarioSplit, x: ExpertOutputs, count: int,
     if skipped:
         log.info("cold-gating augmentation: %d users lack two positives, skipped", skipped)
     if not eligible:
-        return []
+        return np.zeros(0, dtype=PSEUDO_DTYPE)
     pos_sets = [set(p) for p in pos_by_user]
-    out = []
+    crowded = [u for u in eligible if cat.n_bundles - len(pos_sets[u]) < 2]
+    if crowded:
+        raise DegenerateSplitError(
+            f"users {crowded[:10]} leave fewer than two bundles for a pseudo-negative")
+    rows = []
     for _ in range(count):
         u = eligible[int(rng.integers(1, 0, len(eligible))[0])]
         pool = pos_by_user[u]
         i, j = rng.choice(len(pool), 2)[:2]
-        bx, by = pool[int(i)], pool[int(j)]
         lam_p = rng.beta(beta_alpha, beta_alpha)
-        pos = interpolate_pseudo(bx, by, lam_p, x)
         while True:
             nx, ny = rng.integers(2, 0, cat.n_bundles)
             if nx != ny and int(nx) not in pos_sets[u] and int(ny) not in pos_sets[u]:
                 break
         lam_n = rng.beta(beta_alpha, beta_alpha)
-        neg = interpolate_pseudo(int(nx), int(ny), lam_n, x)
-        out.append((u, pos, neg))
-    return out
+        rows.append((u, pool[int(i)], pool[int(j)], lam_p, int(nx), int(ny), lam_n))
+    return np.array(rows, dtype=PSEUDO_DTYPE)
 
 
 def _view_phase_loss_and_grads(x: ExpertOutputs, gp: GateParams,
                                triples: tuple[np.ndarray, np.ndarray, np.ndarray]):
     """Ranking loss with unit output fusion (y = s_bint + s_iint); gradients
     flow to the view gates only."""
-    u, bp, bn = triples
-    rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
-    GB = np.zeros_like(x.r_e_bint)
-    GI = np.zeros_like(x.r_e_iint_b)
-
-    def scores(users, bundles):
-        return (np.sum(x.ru_bint[users] * rb_bint[bundles], axis=1)
-                + np.sum(x.ru_iint[users] * rb_iint[bundles], axis=1))
-
-    loss, c = bpr_loss(scores(u, bp), scores(u, bn))
-    cw = c[:, None]
-    np.add.at(GB, bp, cw * x.ru_bint[u])
-    np.add.at(GB, bn, -cw * x.ru_bint[u])
-    np.add.at(GI, bp, cw * x.ru_iint[u])
-    np.add.at(GI, bn, -cw * x.ru_iint[u])
-    g_w_bint = _gate_grad_from_rep_grads(GB, x.r_e_bint, x.r_d_bint, w_b, x.bundle_feature)
-    GI_items = x.agg.T @ GI
-    g_w_iint = _gate_grad_from_rep_grads(GI_items, x.r_e_items, x.r_d_items, w_i, x.item_feature)
-    return loss, [g_w_bint, g_w_iint]
+    loss, grads = _real_triple_loss_and_grads(x, gp, triples, None)
+    return loss, grads[:2]
 
 
 def _epoch_negatives(rng: Rng, users: np.ndarray, warm_bundles: np.ndarray,
                      pos_sets: list[set]) -> np.ndarray:
-    neg = warm_bundles[rng.integers(users.size, 0, warm_bundles.size)]
-    for i, u in enumerate(users.tolist()):
-        while int(neg[i]) in pos_sets[u]:
-            neg[i] = int(warm_bundles[rng.integers(1, 0, warm_bundles.size)[0]])
-    return neg
+    """One epoch of negatives from the train-interacted bundles."""
+    return _sample_negatives(rng, users, warm_bundles, pos_sets)
+
+
+def _output_gate_epoch(x: ExpertOutputs, gp: GateParams, opt: Adam, batches: list,
+                       pseudo: np.ndarray, epoch: int) -> float:
+    """One phase-two epoch of output-gate steps; pseudo triples are spread
+    evenly over the batches.  Returns the summed loss."""
+    per_batch = max(1, int(np.ceil(len(pseudo) / len(batches)))) if len(pseudo) else 0
+    epoch_loss = 0.0
+    for k, triples in enumerate(batches):
+        loss, grads = stage3_loss_and_grads(x, gp, triples,
+                                            pseudo[k * per_batch:(k + 1) * per_batch])
+        if not np.isfinite(loss):
+            raise DivergenceError(f"gate loss diverged at epoch {epoch}")
+        epoch_loss += loss
+        opt.step([gp.w_out], [grads[2]])
+    return epoch_loss
 
 
 def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
@@ -362,10 +352,14 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
     bundles that are cold at inference time.  Phase one runs its full epoch
     budget (the two view gates are scalars with a monotone trajectory);
     phase two keeps the epoch snapshot with the best validation Recall@20.
-    Returns (GateParams, history).
-    """
-    from .graph import _recall_at_k
 
+    Phase one never sees the augmentation, so it runs once and phase two
+    forks into the augmented fit and a companion fit without pseudo
+    triples (the no-aug ablation).  Pseudo triples come from derived
+    streams only, so both forks see the same orders and negatives.
+    Returns (GateParams, no-aug GateParams, history of the augmented fit);
+    with no pseudo triples (eta 0) the two gate sets are the same object.
+    """
     cat = split.catalog
     rng = Rng(config.seed).derive("stage3")
     gp = GateParams.create(x.d, rng.derive("init"))
@@ -381,6 +375,13 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
     if warm_bundles.size < 2:
         raise ContractError("need at least two train-interacted bundles")
     n_pseudo = int(round(config.eta * n_pairs))
+    size = config.batch_size
+
+    def epoch_batches() -> list:
+        order = rng.permutation(n_pairs)
+        neg_all = _epoch_negatives(rng, users_all[order], warm_bundles, pos_sets)
+        return [(users_all[order[s:s + size]], pos_all[order[s:s + size]], neg_all[s:s + size])
+                for s in range(0, n_pairs, size)]
 
     history = {"view_loss": [], "view_val_recall": [],
                "out_loss": [], "out_val_recall": []}
@@ -389,12 +390,8 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
     view_params = [gp.w_bint, gp.w_iint]
     opt = Adam(view_params, lr=config.lr, weight_decay=config.weight_decay)
     for epoch in range(config.epochs):
-        order = rng.permutation(n_pairs)
-        neg_all = _epoch_negatives(rng, users_all[order], warm_bundles, pos_sets)
         epoch_loss = 0.0
-        for start in range(0, n_pairs, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            triples = (users_all[idx], pos_all[idx], neg_all[start:start + config.batch_size])
+        for triples in epoch_batches():
             loss, grads = _view_phase_loss_and_grads(x, gp, triples)
             if not np.isfinite(loss):
                 raise DivergenceError(f"view-gate loss diverged at epoch {epoch}")
@@ -402,41 +399,33 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
             opt.step(view_params, grads)
         history["view_loss"].append(epoch_loss / max(1, n_pairs))
         rb_bint, rb_iint, _, _ = fused_tables(x, gp)
-        scores = x.ru_bint @ rb_bint.T + x.ru_iint @ rb_iint.T
         history["view_val_recall"].append(
-            _recall_at_k(scores, split.train_x, split.val_x))
+            _recall_at_k(_score_matrix(x, rb_bint, rb_iint), split.train_x, split.val_x))
 
     # Phase two: output gate on frozen view routing, real plus pseudo triples.
-    opt = Adam([gp.w_out], lr=config.lr, weight_decay=config.weight_decay)
-    n_batches = max(1, int(np.ceil(n_pairs / config.batch_size)))
-    best = {"recall": -1.0, "w_out": gp.w_out.copy(), "epoch": -1}
+    forks = [(gp, n_pseudo)]
+    if n_pseudo:
+        forks.append((GateParams(gp.w_bint.copy(), gp.w_iint.copy(), gp.w_out.copy()), 0))
+    opts = [Adam([g.w_out], lr=config.lr, weight_decay=config.weight_decay) for g, _ in forks]
+    best = [(-1.0, g.w_out.copy(), -1) for g, _ in forks]
     for epoch in range(config.epochs):
-        order = rng.permutation(n_pairs)
-        neg_all = _epoch_negatives(rng, users_all[order], warm_bundles, pos_sets)
-        pseudo = sample_pseudo_triples(split, x, n_pseudo, config.beta_alpha,
-                                       rng.derive(f"pseudo:{epoch}")) if n_pseudo else []
-        per_batch_pseudo = max(1, int(np.ceil(len(pseudo) / n_batches))) if pseudo else 0
-        pseudo_cursor = 0
-        epoch_loss = 0.0
-        for start in range(0, n_pairs, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            triples = (users_all[idx], pos_all[idx], neg_all[start:start + config.batch_size])
-            batch_pseudo = pseudo[pseudo_cursor:pseudo_cursor + per_batch_pseudo]
-            pseudo_cursor += len(batch_pseudo)
-            loss, grads = stage3_loss_and_grads(x, gp, triples, batch_pseudo)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"gate loss diverged at epoch {epoch}")
-            epoch_loss += loss
-            opt.step([gp.w_out], [grads[2]])
-        history["out_loss"].append(epoch_loss / max(1, n_pairs + len(pseudo)))
-        val_recall = _recall_at_k(score_all(x, gp), split.train_x, split.val_x)
-        history["out_val_recall"].append(val_recall)
-        if val_recall > best["recall"]:
-            best = {"recall": val_recall, "w_out": gp.w_out.copy(), "epoch": epoch}
-    gp.w_out[:] = best["w_out"]
-    history["out_best_epoch"] = best["epoch"]
-    history["best_val_recall"] = best["recall"]
-    return gp, history
+        batches = epoch_batches()
+        for k, ((g, count), opt) in enumerate(zip(forks, opts)):
+            pseudo = (sample_pseudo_triples(split, count, config.beta_alpha,
+                                            rng.derive(f"pseudo:{epoch}"))
+                      if count else np.zeros(0, dtype=PSEUDO_DTYPE))
+            epoch_loss = _output_gate_epoch(x, g, opt, batches, pseudo, epoch)
+            val_recall = _recall_at_k(score_all(x, g), split.train_x, split.val_x)
+            if k == 0:
+                history["out_loss"].append(epoch_loss / max(1, n_pairs + len(pseudo)))
+                history["out_val_recall"].append(val_recall)
+            if val_recall > best[k][0]:
+                best[k] = (val_recall, g.w_out.copy(), epoch)
+    for (g, _), (_, w_out, _) in zip(forks, best):
+        g.w_out[:] = w_out
+    history["out_best_epoch"] = best[0][2]
+    history["best_val_recall"] = best[0][0]
+    return gp, forks[-1][0], history
 
 
 def gate_dump_rows(x: ExpertOutputs, gp: GateParams) -> list[tuple]:

@@ -284,12 +284,8 @@ def run_stage3(cfg: RunConfig, split: ScenarioSplit, out: Path):
     base = moe.Stage3Config(eta=cfg.effective_eta, beta_alpha=cfg.beta_alpha,
                             lr=cfg.stage3_lr, epochs=cfg.stage3_epochs,
                             batch_size=cfg.stage3_batch, seed=cfg.seed)
-    gp, _ = moe.train_stage3(split, experts, base)
-    if base.eta > 0:
-        # Companion gate set trained without augmentation, for the ablation.
-        gp0, _ = moe.train_stage3(split, experts, dataclasses.replace(base, eta=0.0))
-    else:
-        gp0 = gp
+    # gp0: companion gate set trained without augmentation, for the ablation.
+    gp, gp0, _ = moe.train_stage3(split, experts, base)
     tensors = {
         "w_bint": gp.w_bint, "w_iint": gp.w_iint, "w_out": gp.w_out,
         "w_bint_noaug": gp0.w_bint, "w_iint_noaug": gp0.w_iint, "w_out_noaug": gp0.w_out,

@@ -150,7 +150,7 @@ def test_criterion_2_gradient_soundness():
     u = split.train_x.rows[:5]
     bp = split.train_x.cols[:5]
     bn = np.roll(bp, 2)
-    pseudo = sample_pseudo_triples(split, x, 3, 0.9, Rng(202).derive("p"))
+    pseudo = sample_pseudo_triples(split, 3, 0.9, Rng(202).derive("p"))
     _, ggrads = stage3_loss_and_grads(x, gp, (u, bp, bn), pseudo)
     errs["stage3"] = finite_diff_check(
         lambda: stage3_loss_and_grads(x, gp, (u, bp, bn), pseudo)[0],

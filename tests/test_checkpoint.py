@@ -1,5 +1,7 @@
 """Checkpoint format: round trips, corruption detection, stage ordering."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,11 +30,42 @@ def test_save_deterministic(tmp_path):
 def test_corruption_detected(tmp_path):
     path = tmp_path / "x.ckpt"
     save_checkpoint(path, "stage1", {}, {"a": np.ones(4)})
-    blob = bytearray(path.read_bytes())
-    blob[-1] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ContractError):
-        load_checkpoint(path)
+    good = path.read_bytes()
+    magic, start = good[:6], 14
+    header_len = int.from_bytes(good[6:start], "little")
+    header = json.loads(good[start:start + header_len])
+    payload = good[start + header_len:]
+
+    def framed(raw: bytes) -> bytes:
+        return magic + len(raw).to_bytes(8, "little") + raw + payload
+
+    def edited(**changes) -> bytes:
+        return framed(json.dumps({**header, **changes}).encode())
+
+    def without(key: str) -> bytes:
+        return framed(json.dumps({k: v for k, v in header.items() if k != key}).encode())
+
+    cases = {
+        "payload bit flip": good[:-1] + bytes([good[-1] ^ 0xFF]),
+        "header length 5": magic + (5).to_bytes(8, "little") + good[start:],
+        "header length past end of file": magic + len(good).to_bytes(8, "little") + good[start:],
+        "header length 2**63": magic + (2 ** 63).to_bytes(8, "little") + good[start:],
+        "header not utf-8": framed(b"\xff\xfe{}"),
+        "header not json": framed(b'{"stage": '),
+        "header not an object": framed(b"[1, 2]"),
+        "missing stage": without("stage"),
+        "missing payload_sha256": without("payload_sha256"),
+        "missing tensors": without("tensors"),
+        "shape larger than payload": edited(tensors=[{"name": "a", "shape": [5]}]),
+        "shape smaller than payload": edited(tensors=[{"name": "a", "shape": [3]}]),
+        "negative dimensions": edited(tensors=[{"name": "a", "shape": [-2, -2]}]),
+        "shape not a list of ints": edited(tensors=[{"name": "a", "shape": "4"}]),
+        "tensor entry without name": edited(tensors=[{"shape": [4]}]),
+    }
+    for label, blob in cases.items():
+        path.write_bytes(blob)
+        with pytest.raises(ContractError):
+            load_checkpoint(path)
 
 
 def test_stage_ordering_errors(tmp_path):

@@ -99,3 +99,10 @@ def test_ingest_subcommand(tmp_path):
 def test_scenario_mismatch_is_contract_error(trained):
     rc = _run(trained, "--scenario", "warm_start", "split")
     assert rc == 2
+
+
+def test_malformed_checkpoint_header_exits_2(tmp_path):
+    out = tmp_path / "o"
+    assert _run(out, "synth") == 0
+    (out / "stage1.ckpt").write_bytes(b"CBCK1\n" + (5).to_bytes(8, "little") + b'{"config":{}}')
+    assert _run(out, "train", "2") == 2

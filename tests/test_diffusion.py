@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from coldbundle.data import InteractionSet, Kind
 from coldbundle.diffusion import (
-    DiffusionConfig, build_anchor_index, anchor, denoiser_forward,
+    ConditionConfig, DiffusionConfig, build_anchor_index, anchor, denoiser_forward,
     diffusion_loss, forward_noise, implied_noise, make_denoiser, make_schedule,
-    reverse_denoise, strided_timesteps, time_embedding, train_diffusion,
+    pretrain_conditions, reverse_denoise, strided_timesteps, time_embedding,
+    train_diffusion,
 )
-from coldbundle.errors import ContractError
+from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.nn import finite_diff_check
 from coldbundle.rng import Rng
 
@@ -160,3 +162,9 @@ def test_reverse_denoise_deterministic():
     a = reverse_denoise(start, cond, den, s, 5)
     b = reverse_denoise(start, cond, den, s, 5)
     np.testing.assert_array_equal(a, b)
+
+
+def test_condition_pretraining_rejects_bundle_with_every_item(time_limit):
+    z = InteractionSet.from_pairs(Kind.BUNDLE_ITEM, [0, 0, 0, 1], [0, 1, 2, 0])
+    with time_limit(5), pytest.raises(DegenerateSplitError):
+        pretrain_conditions(z, 2, 3, ConditionConfig(d_c=4, epochs=1), Rng(0))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from coldbundle.data import InteractionSet, Kind, Scenario, make_split, synth_blockmodel
-from coldbundle.errors import ContractError
+from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.graph import (
-    Stage1Config, aggregate_items, bpr_loss, membership_matrix,
+    Stage1Config, _sample_negatives, aggregate_items, bpr_loss, membership_matrix,
     normalize_adjacency, propagate, propagate_backward, train_stage1,
 )
 from coldbundle.rng import Rng
@@ -147,3 +147,14 @@ def test_stage1_deterministic():
     np.testing.assert_array_equal(a.e_user, b.e_user)
     np.testing.assert_array_equal(a.e_bundle, b.e_bundle)
     np.testing.assert_array_equal(a.e_item, b.e_item)
+
+
+def test_sample_negatives_rejects_row_without_candidates(time_limit):
+    candidates = np.array([3, 5, 7])
+    pos_sets = [{3}, {3, 5, 7}, set()]
+    rng = Rng(0)
+    with time_limit(5), pytest.raises(DegenerateSplitError):
+        _sample_negatives(rng, np.array([0, 1, 2]), candidates, pos_sets)
+    assert rng._counter == 0
+    neg = _sample_negatives(rng, np.array([0, 2, 0]), candidates, pos_sets)
+    assert neg[0] != 3 and neg[2] != 3 and set(neg.tolist()) <= {3, 5, 7}

@@ -1,18 +1,19 @@
 """Gated expert fusion: view gates, output gate, pseudo bundles, training."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from coldbundle.data import Scenario, make_split, synth_blockmodel
-from coldbundle.errors import ContractError
+from coldbundle.data import InteractionSet, Scenario, make_split, synth_blockmodel
+from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.graph import membership_matrix
 from coldbundle.moe import (
     ExpertOutputs, GateParams, Stage3Config, cold_features, fuse, fused_tables,
     gate_dump_rows, interpolate_pseudo, output_gate, predict,
     sample_pseudo_triples, score_all, score_all_no_diff, score_all_no_moe,
-    stage3_loss_and_grads, train_stage3, view_gate,
+    stage3_loss_and_grads, train_stage3, two_view_scores, view_gate,
 )
 from coldbundle.nn import finite_diff_check
 from coldbundle.rng import Rng
@@ -108,6 +109,17 @@ def test_predict_matches_hand_oracle():
     assert abs(predict(u, b, x, gp) - expect) < 1e-12
     scores = score_all(x, gp)
     assert abs(scores[u, b] - expect) < 1e-12
+    # the batched two-view kernel agrees with predict and the score matrix
+    us, bs = np.array([0, 1, 3, 1, 7]), np.array([2, 2, 5, 0, 7])
+    y, _ = two_view_scores(x.ru_bint[us], x.ru_iint[us], rb_bint[bs], rb_iint[bs], gp.w_out)
+    np.testing.assert_allclose(y, [predict(a, c, x, gp) for a, c in zip(us, bs)],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(y, scores[us, bs], rtol=0, atol=1e-12)
+    # unit output fusion sums the two views
+    y, _ = two_view_scores(x.ru_bint[us], x.ru_iint[us], rb_bint[bs], rb_iint[bs], None)
+    np.testing.assert_allclose(
+        y, np.sum(x.ru_bint[us] * rb_bint[bs], axis=1)
+        + np.sum(x.ru_iint[us] * rb_iint[bs], axis=1), rtol=0, atol=1e-12)
 
 
 def test_zero_output_gate_scores_zero():
@@ -126,24 +138,28 @@ def test_output_gate_range():
 
 def test_interpolation_symmetry_and_endpoints():
     split, x = _tiny()
-    lam = 0.3
-    a = interpolate_pseudo(0, 1, lam, x)
-    b = interpolate_pseudo(1, 0, 1.0 - lam, x)
-    np.testing.assert_allclose(a.r_e_bint, b.r_e_bint, atol=1e-15)
-    np.testing.assert_allclose(a.r_d_iint, b.r_d_iint, atol=1e-15)
-    end = interpolate_pseudo(2, 3, 1.0, x)
-    np.testing.assert_array_equal(end.r_e_bint, x.r_e_bint[2])
-    mid = interpolate_pseudo(2, 3, 0.5, x)
-    np.testing.assert_allclose(mid.r_e_bint, 0.5 * (x.r_e_bint[2] + x.r_e_bint[3]))
-    assert a.feature == 0.0
+    bx, by, lam = np.array([0, 2, 2, 5]), np.array([1, 3, 3, 4]), np.array([0.3, 1.0, 0.5, 0.0])
+    mixed = interpolate_pseudo(x, bx, by, lam)
+    for a, b in zip(mixed, interpolate_pseudo(x, by, bx, 1.0 - lam)):
+        np.testing.assert_allclose(a, b, atol=1e-15)
+    tables = (x.r_e_bint, x.r_d_bint, x.r_e_iint_b, x.r_d_iint_b)
+    for rows, t in zip(mixed, tables):
+        np.testing.assert_array_equal(rows[1], t[2])   # lam = 1 endpoint
+        np.testing.assert_array_equal(rows[3], t[4])   # lam = 0 endpoint
+        np.testing.assert_allclose(rows[2], 0.5 * (t[2] + t[3]))
+        for k in range(bx.size):  # scalar mixup of each row's own pair
+            np.testing.assert_array_equal(rows[k], lam[k] * t[bx[k]] + (1.0 - lam[k]) * t[by[k]])
+    # pseudo bundles carry a zero cold feature: uniform view gates whatever w
+    np.testing.assert_array_equal(view_gate(np.zeros(3), Rng(9).normal((2, 1))), 0.5)
 
 
 def test_interpolation_rejects():
     split, x = _tiny()
     with pytest.raises(ContractError):
-        interpolate_pseudo(0, 0, 0.5, x)
-    with pytest.raises(ContractError):
-        interpolate_pseudo(0, 1, 1.5, x)
+        interpolate_pseudo(x, np.array([0, 1]), np.array([1, 1]), np.array([0.5, 0.5]))
+    for lam in (1.5, -0.1, np.nan):
+        with pytest.raises(ContractError):
+            interpolate_pseudo(x, np.array([0, 2]), np.array([1, 3]), np.array([0.5, lam]))
 
 
 def test_stage3_gradcheck_all_gates():
@@ -152,7 +168,7 @@ def test_stage3_gradcheck_all_gates():
     u = split.train_x.rows[:6]
     bp = split.train_x.cols[:6]
     bn = np.roll(bp, 1)
-    pseudo = sample_pseudo_triples(split, x, 4, 0.9, Rng(6).derive("p"))
+    pseudo = sample_pseudo_triples(split, 4, 0.9, Rng(6).derive("p"))
 
     def loss_fn():
         loss, _ = stage3_loss_and_grads(x, gp, (u, bp, bn), pseudo)
@@ -164,19 +180,45 @@ def test_stage3_gradcheck_all_gates():
 
 
 def test_pseudo_triples_properties():
-    split, x = _tiny()
+    split, _ = _tiny()
     rng = Rng(7)
-    triples = sample_pseudo_triples(split, x, 30, 0.9, rng)
+    triples = sample_pseudo_triples(split, 30, 0.9, rng)
+    assert len(triples) == 30
     pos_sets = {}
     for u, b in zip(split.train_x.rows.tolist(), split.train_x.cols.tolist()):
         pos_sets.setdefault(u, set()).add(b)
-    for u, pos, neg in triples:
+    for t in triples.tolist():
+        u, pos_x, pos_y, pos_lam, neg_x, neg_y, neg_lam = t
         assert len(pos_sets[u]) >= 2
-        assert pos.b_x in pos_sets[u] and pos.b_y in pos_sets[u]
-        assert pos.b_x != pos.b_y
-        assert neg.b_x not in pos_sets[u] and neg.b_y not in pos_sets[u]
-        assert neg.b_x != neg.b_y
-        assert 0.0 <= pos.lam <= 1.0
+        assert pos_x in pos_sets[u] and pos_y in pos_sets[u]
+        assert pos_x != pos_y
+        assert neg_x not in pos_sets[u] and neg_y not in pos_sets[u]
+        assert neg_x != neg_y
+        assert 0.0 <= pos_lam <= 1.0 and 0.0 <= neg_lam <= 1.0
+
+
+def _with_train_pairs(split, user, bundles):
+    """split with `user` also holding train interactions with `bundles`."""
+    tx = split.train_x
+    train_x = InteractionSet.from_pairs(tx.kind, np.r_[tx.rows, np.full(len(bundles), user)],
+                                        np.r_[tx.cols, bundles])
+    return dataclasses.replace(split, train_x=train_x)
+
+
+def test_pseudo_negatives_need_two_free_bundles(time_limit):
+    split, _ = _tiny()
+    split = _with_train_pairs(split, 0, np.arange(1, split.catalog.n_bundles))
+    rng = Rng(7)
+    with time_limit(5), pytest.raises(DegenerateSplitError):
+        sample_pseudo_triples(split, 30, 0.9, rng)
+    assert rng._counter == 0
+
+
+def test_stage3_negatives_reject_user_holding_every_bundle(time_limit):
+    split, x = _tiny()
+    split = _with_train_pairs(split, 0, np.unique(split.train_x.cols))
+    with time_limit(5), pytest.raises(DegenerateSplitError):
+        train_stage3(split, x, Stage3Config(eta=0.0, epochs=1, batch_size=16))
 
 
 def test_train_stage3_leaves_experts_frozen():
@@ -186,7 +228,7 @@ def test_train_stage3_leaves_experts_frozen():
         (x.ru_bint, x.ru_iint, x.r_e_bint, x.r_d_bint, x.r_e_items, x.r_d_items)
     )).hexdigest()
     config = Stage3Config(eta=0.5, epochs=3, batch_size=64, seed=0)
-    gp, history = train_stage3(split, x, config)
+    gp, _, history = train_stage3(split, x, config)
     after = hashlib.sha256(b"".join(
         np.ascontiguousarray(t).tobytes() for t in
         (x.ru_bint, x.ru_iint, x.r_e_bint, x.r_d_bint, x.r_e_items, x.r_d_items)
@@ -199,10 +241,24 @@ def test_train_stage3_leaves_experts_frozen():
 def test_train_stage3_deterministic():
     split, x = _tiny()
     config = Stage3Config(eta=0.5, epochs=2, batch_size=64, seed=1)
-    a, _ = train_stage3(split, x, config)
-    b, _ = train_stage3(split, x, config)
-    for pa, pb in zip(a.params(), b.params()):
+    a, a0, _ = train_stage3(split, x, config)
+    b, b0, _ = train_stage3(split, x, config)
+    for pa, pb in zip(a.params() + a0.params(), b.params() + b0.params()):
         np.testing.assert_array_equal(pa, pb)
+
+
+def test_no_aug_fork_matches_separate_eta0_run():
+    split, x = _tiny()
+    config = Stage3Config(eta=0.5, epochs=3, batch_size=16, seed=2)
+    gp, gp0, _ = train_stage3(split, x, config)
+    ref, ref0, _ = train_stage3(split, x, dataclasses.replace(config, eta=0.0))
+    assert ref0 is ref
+    for fork, solo in zip(gp0.params(), ref.params()):
+        np.testing.assert_array_equal(fork, solo)
+    # phase one is shared; augmentation changes only the output gate
+    np.testing.assert_array_equal(gp.w_bint, gp0.w_bint)
+    np.testing.assert_array_equal(gp.w_iint, gp0.w_iint)
+    assert not np.array_equal(gp.w_out, gp0.w_out)
 
 
 def test_ablation_scores_shapes():
