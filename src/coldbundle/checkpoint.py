@@ -67,7 +67,10 @@ def save_checkpoint(path, stage: str, config: dict, tensors: dict) -> None:
         fh.write(payload)
 
 
-def load_checkpoint(path, expect_stage: str | None = None) -> Checkpoint:
+def load_checkpoint(path, expect_stage: str | None = None, require=()) -> Checkpoint:
+    """Read and verify a checkpoint.  `require` names the tensors the caller
+    reads; a checkpoint lacking any of them raises ContractError naming
+    every missing one."""
     path = Path(path)
     if not path.exists():
         if expect_stage is not None:
@@ -101,6 +104,9 @@ def load_checkpoint(path, expect_stage: str | None = None) -> Checkpoint:
         raise ContractError(f"{path}: malformed tensor table ({exc!r})") from None
     if any(not isinstance(name, str) or min(shape, default=0) < 0 for name, shape in entries):
         raise ContractError(f"{path}: malformed tensor table")
+    missing = sorted(set(require) - {name for name, _ in entries})
+    if missing:
+        raise ContractError(f"{path}: {header['stage']} checkpoint lacks tensors {missing}")
     counts = [math.prod(shape) for _, shape in entries]
     if 8 * sum(counts) != len(payload):
         raise ContractError(f"{path}: tensor shapes disagree with the payload length")

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from .data import InteractionSet, ScenarioSplit
 from .errors import ContractError, DegenerateSplitError, DivergenceError
+from .metrics import rank_candidates
 from .nn import Adam, _sigmoid
 from .rng import Rng
 
@@ -152,22 +153,21 @@ def _sample_negatives(rng: Rng, users: np.ndarray, candidates: np.ndarray,
 
 
 def _recall_at_k(scores: np.ndarray, train_x: InteractionSet, eval_x: InteractionSet, k: int = 20) -> float:
-    """Mean Recall@k over users with eval positives, train positives masked."""
+    """Mean Recall@k over users with eval positives, train positives masked.
+
+    Ranks through `metrics.rank_candidates`; the per-user recalls are summed
+    in user order, as validation has always reduced them.
+    """
     n_users = scores.shape[0]
-    masked = scores.copy()
-    masked[train_x.rows, train_x.cols] = -np.inf
-    pos_by_user = [[] for _ in range(n_users)]
-    for u, b in zip(eval_x.rows.tolist(), eval_x.cols.tolist()):
-        pos_by_user[u].append(b)
-    total, count = 0.0, 0
-    order = np.argsort(-masked, axis=1, kind="stable")[:, :k]
-    for u, pos in enumerate(pos_by_user):
-        if not pos:
-            continue
-        hits = len(set(order[u].tolist()) & set(pos))
-        total += hits / len(pos)
-        count += 1
-    return total / count if count else 0.0
+    top = rank_candidates(scores, train_x, k)
+    hit = np.zeros(scores.shape, dtype=bool)
+    hit[eval_x.rows, eval_x.cols] = True
+    n_pos = eval_x.row_degrees(n_users)
+    users = np.flatnonzero(n_pos)
+    if not users.size:
+        return 0.0
+    hits = np.count_nonzero(np.take_along_axis(hit, top, axis=1), axis=1)[users]
+    return float(np.cumsum(hits / n_pos[users])[-1] / users.size)
 
 
 def train_stage1(split: ScenarioSplit, config: Stage1Config):

@@ -1,9 +1,12 @@
 """Top-K evaluation under the all-unrated-item protocol, plus 2-D projection.
 
 Per user, every bundle not interacted with in training is ranked by
-descending score with ties broken by ascending id.  Metrics average over
-users with at least one test positive; users without are skipped, not
-scored as zero (documented in the report header).
+descending score with ties broken by ascending id.  Only the top k are
+ranked (`rank_candidates`: one argpartition over the score matrix, then a
+sort of the k survivors), and they come out in the order a full sort
+gives.  Scores holding NaN or +inf raise ContractError (CLI exit 2).
+Metrics average over users with at least one test positive; users without
+are skipped, not scored as zero (documented in the report header).
 """
 
 from __future__ import annotations
@@ -13,17 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScenarioSplit
+from .data import InteractionSet, ScenarioSplit
 from .errors import BoundsError, ContractError
 from .rng import Rng
 
 log = logging.getLogger(__name__)
 
 SITUATION_KEYS = ["warm__warm", "warm__cold", "cold__warm", "cold__cold"]
-
-
-def _situation_key(bint_cold: bool, iint_cold: bool) -> str:
-    return f"{'cold' if bint_cold else 'warm'}__{'cold' if iint_cold else 'warm'}"
 
 
 def recall_at_k(ranked, positives, k: int) -> float:
@@ -72,70 +71,103 @@ class MetricReport:
         }
 
 
-def rank_candidates(scores: np.ndarray, split: ScenarioSplit) -> np.ndarray:
-    """Per-user candidate ranking with train positives masked.
+def rank_candidates(scores: np.ndarray, train_x: InteractionSet, k: int) -> np.ndarray:
+    """Top-k candidate ranking of every user row, train positives masked.
 
-    Returns an (n_users, n_bundles) array of bundle ids in rank order;
-    masked slots are pushed to the end.
+    Returns an (n_users, min(k, n_bundles)) array of bundle ids ordered by
+    descending score, ties by ascending id; train positives are masked to
+    -inf, so they rank after every candidate.  One argpartition selects the
+    k best of every row and only those are sorted; a row where a tie
+    straddles the k-th place (more than k entries reach the k-th value) is
+    ranked by a full stable sort instead, so the result always equals the
+    first k columns of the full ranking.  NaN or +inf scores raise
+    ContractError; -inf is a legal score.
     """
+    if k < 1:
+        raise BoundsError("k must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
-    cat = split.catalog
-    if scores.shape != (cat.n_users, cat.n_bundles):
-        raise ContractError(f"score matrix shape {scores.shape} does not match catalog")
-    masked = scores.copy()
-    masked[split.train_x.rows, split.train_x.cols] = -np.inf
-    ids = np.arange(cat.n_bundles)
-    # lexsort: primary key descending score, secondary ascending id
-    order = np.empty_like(masked, dtype=np.int64)
-    for u in range(cat.n_users):
-        order[u] = np.lexsort((ids, -masked[u]))
-    return order
+    if scores.ndim != 2:
+        raise ContractError(f"score matrix must be 2-D, got shape {scores.shape}")
+    if not np.all(scores < np.inf):
+        raise ContractError("score matrix holds NaN or +inf")
+    n_users, n_bundles = scores.shape
+    if len(train_x) and (train_x.rows.max() >= n_users or train_x.cols.max() >= n_bundles):
+        raise ContractError(f"train pairs fall outside the {scores.shape} score matrix")
+    # Ascending order of the negated scores; masked train positives become +inf.
+    neg = np.negative(scores)
+    neg[train_x.rows, train_x.cols] = np.inf
+    if k >= n_bundles:
+        return np.argsort(neg, axis=1, kind="stable")
+    top = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(neg, top[:, k - 1:], axis=1)
+    straddled = np.flatnonzero(np.count_nonzero(neg <= kth, axis=1) != k)
+    vals = np.take_along_axis(neg, top, axis=1)
+    top = np.take_along_axis(top, np.lexsort((top, vals)), axis=1)
+    if straddled.size:
+        top[straddled] = np.argsort(neg[straddled], axis=1, kind="stable")[:, :k]
+    return top
+
+
+def _row_mask(pairs: InteractionSet, shape: tuple[int, int]) -> np.ndarray:
+    mask = np.zeros(shape, dtype=bool)
+    mask[pairs.rows, pairs.cols] = True
+    return mask
 
 
 def evaluate(scores: np.ndarray, split: ScenarioSplit, k: int = 20) -> MetricReport:
+    """Recall@k, NDCG@k, situation hits and cold-bundle recall over the
+    users with at least one test positive.
+
+    Recall and NDCG read the first k ranked ids; situation hits and cold
+    recall read the first min(k, n_valid), n_valid being the user's
+    unmasked candidates.  DCG sums the discounts in rank order and the
+    user means are plain means, so the floats do not depend on the ranking
+    kernel.
+    """
     cat = split.catalog
-    order = rank_candidates(scores, split)
-    train_pairs = split.train_x.pair_set()
+    scores = np.asarray(scores, dtype=np.float64)
+    shape = (cat.n_users, cat.n_bundles)
+    if scores.shape != shape:
+        raise ContractError(f"score matrix shape {scores.shape} does not match catalog")
+    top = rank_candidates(scores, split.train_x, k)
+    test = _row_mask(split.test_x, shape)
+    users = np.flatnonzero(test.any(axis=1))
+    test, top = test[users], top[users]
+    n_pos = np.count_nonzero(test, axis=1)
+    hit = np.take_along_axis(test, top, axis=1)
 
-    pos_by_user = [[] for _ in range(cat.n_users)]
-    for u, b in zip(split.test_x.rows.tolist(), split.test_x.cols.tolist()):
-        pos_by_user[u].append(b)
+    # Masked train positives sit at the tail; keep top-k within candidates.
+    n_valid = cat.n_bundles - split.train_x.row_degrees(cat.n_users)[users]
+    in_topk = np.arange(top.shape[1])[None, :] < np.minimum(k, n_valid)[:, None]
+    train = _row_mask(split.train_x, shape)
+    if np.any(np.take_along_axis(train[users], top, axis=1) & in_topk):
+        raise ContractError("train positive leaked into ranked candidates")
 
-    iint_cold = split.bundle_iint_cold
-    bint_cold = split.bundle_bint_cold
-    train_deg = split.train_x.row_degrees(cat.n_users)
-    hits = {key: 0 for key in SITUATION_KEYS}
-    recalls, ndcgs = [], []
-    cold_recalls = []
-    for u in range(cat.n_users):
-        pos = set(pos_by_user[u])
-        if not pos:
-            continue
-        ranked = order[u].tolist()
-        # masked train positives sit at the tail; keep top-k within candidates
-        n_valid = cat.n_bundles - int(train_deg[u])
-        topk = ranked[:min(k, n_valid)]
-        for b in topk:
-            if (u, b) in train_pairs:
-                raise ContractError("train positive leaked into ranked candidates")
-        recalls.append(recall_at_k(ranked, pos, k))
-        ndcgs.append(ndcg_at_k(ranked, pos, k))
-        for b in topk:
-            if b in pos:
-                hits[_situation_key(bool(bint_cold[b]), bool(iint_cold[b]))] += 1
-        cold_pos = {b for b in pos if bint_cold[b]}
-        if cold_pos:
-            cold_recalls.append(sum(1 for b in topk if b in cold_pos) / len(cold_pos))
+    # Each rank's discount from the scalar expression, so the floats match
+    # the per-user definition in ndcg_at_k.
+    disc = np.array([1.0 / np.log2(r + 2) for r in range(top.shape[1])])
+    ideal = np.cumsum(disc)[np.minimum(k, n_pos) - 1]
+    dcg = np.cumsum(hit * disc, axis=1)[:, -1]
+    recalls = np.count_nonzero(hit, axis=1) / n_pos
+    ndcgs = dcg / ideal
+
+    cold = split.bundle_bint_cold[top]
+    topk_hit = hit & in_topk
+    code = 2 * cold + split.bundle_iint_cold[top]
+    counts = np.bincount(code[topk_hit], minlength=len(SITUATION_KEYS))
+    n_cold = np.count_nonzero(test[:, split.bundle_bint_cold], axis=1)
+    has_cold = n_cold > 0
+    cold_recalls = np.count_nonzero(topk_hit & cold, axis=1)[has_cold] / n_cold[has_cold]
 
     return MetricReport(
         scenario=split.scenario.value,
         k=k,
-        n_users_evaluated=len(recalls),
-        recall=float(np.mean(recalls)) if recalls else 0.0,
-        ndcg=float(np.mean(ndcgs)) if ndcgs else 0.0,
-        situation_hits=hits,
-        cold_bundle_recall=float(np.mean(cold_recalls)) if cold_recalls else 0.0,
-        cold_bundle_users=len(cold_recalls),
+        n_users_evaluated=int(users.size),
+        recall=float(np.mean(recalls)) if users.size else 0.0,
+        ndcg=float(np.mean(ndcgs)) if users.size else 0.0,
+        situation_hits={key: int(n) for key, n in zip(SITUATION_KEYS, counts)},
+        cold_bundle_recall=float(np.mean(cold_recalls)) if cold_recalls.size else 0.0,
+        cold_bundle_users=int(cold_recalls.size),
     )
 
 

@@ -26,6 +26,11 @@ from .rng import Rng
 log = logging.getLogger(__name__)
 
 
+# ExpertOutputs tables saved in, and read back from, the stage-3 checkpoint.
+EXPERT_TENSORS = ("ru_bint", "ru_iint", "r_e_bint", "r_d_bint", "r_e_items", "r_d_items",
+                  "bundle_feature", "item_feature")
+
+
 @dataclass
 class ExpertOutputs:
     """Frozen expert tables consumed by gate training and scoring."""
@@ -50,12 +55,7 @@ class ExpertOutputs:
         return self.r_e_bint.shape[1]
 
     def tensors(self) -> dict:
-        return {
-            "ru_bint": self.ru_bint, "ru_iint": self.ru_iint,
-            "r_e_bint": self.r_e_bint, "r_d_bint": self.r_d_bint,
-            "r_e_items": self.r_e_items, "r_d_items": self.r_d_items,
-            "bundle_feature": self.bundle_feature, "item_feature": self.item_feature,
-        }
+        return {name: getattr(self, name) for name in EXPERT_TENSORS}
 
 
 def cold_features(split: ScenarioSplit) -> tuple[np.ndarray, np.ndarray]:
@@ -119,22 +119,25 @@ def two_view_scores(ru_bint: np.ndarray, ru_iint: np.ndarray, fb: np.ndarray,
 
     y = g0 <ru_bint, fb> + g1 <ru_iint, fi> with g = tanh([fb, fi] @ w_out.T);
     w_out None is unit output fusion (g = 1).  Returns (y, vjp), where
-    vjp(coef) gives the gradients of sum(coef * y) as (d_w_out, d_fb, d_fi),
-    d_w_out None under unit fusion.
+    vjp(coef, reps=True) gives the gradients of sum(coef * y) as
+    (d_w_out, d_fb, d_fi): d_w_out None under unit fusion, d_fb and d_fi
+    None (not computed) when reps is False.
     """
     s1 = np.sum(ru_bint * fb, axis=1)
     s2 = np.sum(ru_iint * fi, axis=1)
     if w_out is None:
-        def unit_vjp(coef):
+        def unit_vjp(coef, reps=True):
             cw = coef[:, None]
-            return None, cw * ru_bint, cw * ru_iint
+            return (None, cw * ru_bint, cw * ru_iint) if reps else (None, None, None)
         return s1 + s2, unit_vjp
 
     a_out = np.concatenate([fb, fi], axis=1)
     g = output_gate(a_out, w_out)
 
-    def vjp(coef):
+    def vjp(coef, reps=True):
         v = coef[:, None] * (1.0 - g * g) * np.stack([s1, s2], axis=1)
+        if not reps:
+            return v.T @ a_out, None, None
         d_a = v @ w_out
         d = fb.shape[1]
         return (v.T @ a_out,
@@ -222,10 +225,10 @@ def _gate_grad_from_rep_grads(G, r_e, r_d, w, features):
 
 
 def _real_triple_loss_and_grads(x: ExpertOutputs, gp: GateParams, triples,
-                                w_out: np.ndarray | None):
+                                w_out: np.ndarray | None, view_gates: bool = True):
     """Summed ranking loss of real triples scored by `two_view_scores`, and
     its gradients [w_bint, w_iint, w_out] (w_out None: unit output fusion,
-    zero output-gate gradient)."""
+    zero output-gate gradient; view_gates False: view-gate entries None)."""
     u, bp, bn = triples
     rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
     GB = np.zeros_like(x.r_e_bint)
@@ -238,11 +241,14 @@ def _real_triple_loss_and_grads(x: ExpertOutputs, gp: GateParams, triples,
         y_neg, vjp_neg = two_view_scores(ru1, ru2, rb_bint[bn], rb_iint[bn], w_out)
         loss, c = bpr_loss(y_pos, y_neg)
         for b, vjp, coef in ((bp, vjp_pos, c), (bn, vjp_neg, -c)):
-            d_w, d_fb, d_fi = vjp(coef)
+            d_w, d_fb, d_fi = vjp(coef, reps=view_gates)
             if d_w is not None:
                 g_w_out += d_w
-            np.add.at(GB, b, d_fb)
-            np.add.at(GI, b, d_fi)
+            if view_gates:
+                np.add.at(GB, b, d_fb)
+                np.add.at(GI, b, d_fi)
+    if not view_gates:
+        return loss, [None, None, g_w_out]
     g_w_bint = _gate_grad_from_rep_grads(GB, x.r_e_bint, x.r_d_bint, w_b, x.bundle_feature)
     GI_items = x.agg.T @ GI
     g_w_iint = _gate_grad_from_rep_grads(GI_items, x.r_e_items, x.r_d_items, w_i, x.item_feature)
@@ -251,14 +257,18 @@ def _real_triple_loss_and_grads(x: ExpertOutputs, gp: GateParams, triples,
 
 def stage3_loss_and_grads(x: ExpertOutputs, gp: GateParams,
                           triples: tuple[np.ndarray, np.ndarray, np.ndarray],
-                          pseudo: np.ndarray | None = None):
-    """Summed ranking loss over real and pseudo triples; exact gate gradients.
+                          pseudo: np.ndarray | None = None, *, view_gates: bool = True):
+    """Summed ranking loss over real and pseudo triples; exact gate gradients
+    [w_bint, w_iint, w_out].
 
     pseudo is a PSEUDO_DTYPE record array.  Pseudo bundles carry a zero cold
     feature, which pins both view gates at [0.5, 0.5], so only the output
-    gate receives their gradient.
+    gate receives their gradient.  view_gates False returns None for the
+    two view gates and skips their representation gradients, scatters and
+    folds: phase two, which freezes those gates, reads only the w_out
+    gradient.
     """
-    total_loss, grads = _real_triple_loss_and_grads(x, gp, triples, gp.w_out)
+    total_loss, grads = _real_triple_loss_and_grads(x, gp, triples, gp.w_out, view_gates)
     if pseudo is not None and len(pseudo):
         ru1, ru2 = x.ru_bint[pseudo["u"]], x.ru_iint[pseudo["u"]]
         sides = []
@@ -270,8 +280,8 @@ def stage3_loss_and_grads(x: ExpertOutputs, gp: GateParams,
         (y_pos, vjp_pos), (y_neg, vjp_neg) = sides
         loss, c = bpr_loss(y_pos, y_neg)
         total_loss += loss
-        grads[2] += vjp_pos(c)[0]
-        grads[2] += vjp_neg(-c)[0]
+        grads[2] += vjp_pos(c, reps=False)[0]
+        grads[2] += vjp_neg(-c, reps=False)[0]
     return total_loss, grads
 
 
@@ -332,7 +342,8 @@ def _output_gate_epoch(x: ExpertOutputs, gp: GateParams, opt: Adam, batches: lis
     epoch_loss = 0.0
     for k, triples in enumerate(batches):
         loss, grads = stage3_loss_and_grads(x, gp, triples,
-                                            pseudo[k * per_batch:(k + 1) * per_batch])
+                                            pseudo[k * per_batch:(k + 1) * per_batch],
+                                            view_gates=False)
         if not np.isfinite(loss):
             raise DivergenceError(f"gate loss diverged at epoch {epoch}")
         epoch_loss += loss

@@ -39,6 +39,11 @@ log = logging.getLogger(__name__)
 
 SCENARIO_ETA = {"warm_start": 0.0, "all_bundle": 0.3, "cold_start": 0.5}
 
+# Checkpoint tensor names: the stage-1 tables and the stage-3 gate sets,
+# trained with and then without augmentation, in GateParams order.
+STAGE1_TENSORS = ("e_user", "e_bundle", "e_item")
+GATE_TENSORS = ("w_bint", "w_iint", "w_out", "w_bint_noaug", "w_iint_noaug", "w_out_noaug")
+
 
 @dataclass
 class RunConfig:
@@ -208,24 +213,14 @@ def _denoiser_tensors(prefix: str, den: dif.Denoiser) -> dict:
     return out
 
 
-def _denoiser_from_tensors(prefix: str, tensors: dict, d: int, d_cond: int,
-                           d_time: int) -> dif.Denoiser:
-    from .nn import Layer, Mlp
-    layers = []
-    i = 0
-    while f"{prefix}_w{i}" in tensors:
-        w = tensors[f"{prefix}_w{i}"]
-        b = tensors[f"{prefix}_b{i}"]
-        act = "silu" if f"{prefix}_w{i + 1}" in tensors else "identity"
-        layers.append(Layer(weight=w.copy(), bias=b.copy(), act=act))
-        i += 1
-    return dif.Denoiser(net=Mlp(layers), d=d, d_cond=d_cond, d_time=d_time)
+def _load_priors(cfg: RunConfig, out: Path) -> gr.PriorEmbeddings:
+    t = load_checkpoint(out / "stage1.ckpt", expect_stage="stage1",
+                        require=STAGE1_TENSORS).tensors
+    return gr.PriorEmbeddings(*(t[name] for name in STAGE1_TENSORS), K=cfg.K)
 
 
 def run_stage2(cfg: RunConfig, split: ScenarioSplit, out: Path):
-    ck1 = load_checkpoint(out / "stage1.ckpt", expect_stage="stage1")
-    emb = gr.PriorEmbeddings(ck1.tensors["e_user"].copy(), ck1.tensors["e_bundle"].copy(),
-                             ck1.tensors["e_item"].copy(), K=cfg.K)
+    emb = _load_priors(cfg, out)
     cat = split.catalog
     ru_b, rb, ru_i, ri, rb_i = _view_reps(cfg, split, emb)
 
@@ -264,18 +259,17 @@ def run_stage2(cfg: RunConfig, split: ScenarioSplit, out: Path):
 
 
 def build_experts(cfg: RunConfig, split: ScenarioSplit, out: Path) -> moe.ExpertOutputs:
-    ck1 = load_checkpoint(out / "stage1.ckpt", expect_stage="stage1")
-    ck2 = load_checkpoint(out / "stage2.ckpt", expect_stage="stage2")
-    emb = gr.PriorEmbeddings(ck1.tensors["e_user"].copy(), ck1.tensors["e_bundle"].copy(),
-                             ck1.tensors["e_item"].copy(), K=cfg.K)
+    emb = _load_priors(cfg, out)
+    t2 = load_checkpoint(out / "stage2.ckpt", expect_stage="stage2",
+                         require=("r_d_bint", "r_d_items")).tensors
     cat = split.catalog
     ru_b, rb, ru_i, ri, rb_i = _view_reps(cfg, split, emb)
     agg = gr.membership_matrix(split.z, cat.n_bundles, cat.n_items)
     bf, itf = moe.cold_features(split)
     return moe.ExpertOutputs(
         ru_bint=ru_b, ru_iint=ru_i,
-        r_e_bint=rb, r_d_bint=ck2.tensors["r_d_bint"].copy(),
-        r_e_items=ri, r_d_items=ck2.tensors["r_d_items"].copy(),
+        r_e_bint=rb, r_d_bint=t2["r_d_bint"],
+        r_e_items=ri, r_d_items=t2["r_d_items"],
         agg=agg, bundle_feature=bf, item_feature=itf)
 
 
@@ -286,10 +280,7 @@ def run_stage3(cfg: RunConfig, split: ScenarioSplit, out: Path):
                             batch_size=cfg.stage3_batch, seed=cfg.seed)
     # gp0: companion gate set trained without augmentation, for the ablation.
     gp, gp0, _ = moe.train_stage3(split, experts, base)
-    tensors = {
-        "w_bint": gp.w_bint, "w_iint": gp.w_iint, "w_out": gp.w_out,
-        "w_bint_noaug": gp0.w_bint, "w_iint_noaug": gp0.w_iint, "w_out_noaug": gp0.w_out,
-    }
+    tensors = dict(zip(GATE_TENSORS, gp.params() + gp0.params()))
     tensors.update(experts.tensors())
     save_checkpoint(out / "stage3.ckpt", "stage3", cfg.to_dict(), tensors)
     update_manifest(out, cfg, {"stage3": "stage3.ckpt"})
@@ -298,19 +289,13 @@ def run_stage3(cfg: RunConfig, split: ScenarioSplit, out: Path):
 
 def load_trained(cfg: RunConfig, split: ScenarioSplit, out: Path):
     """Rebuild (experts, gates, no-aug gates) from the stage-3 checkpoint."""
-    ck = load_checkpoint(out / "stage3.ckpt", expect_stage="stage3")
-    t = ck.tensors
+    t = load_checkpoint(out / "stage3.ckpt", expect_stage="stage3",
+                        require=GATE_TENSORS + moe.EXPERT_TENSORS).tensors
     cat = split.catalog
     agg = gr.membership_matrix(split.z, cat.n_bundles, cat.n_items)
-    experts = moe.ExpertOutputs(
-        ru_bint=t["ru_bint"].copy(), ru_iint=t["ru_iint"].copy(),
-        r_e_bint=t["r_e_bint"].copy(), r_d_bint=t["r_d_bint"].copy(),
-        r_e_items=t["r_e_items"].copy(), r_d_items=t["r_d_items"].copy(),
-        agg=agg, bundle_feature=t["bundle_feature"].copy(),
-        item_feature=t["item_feature"].copy())
-    gp = moe.GateParams(t["w_bint"].copy(), t["w_iint"].copy(), t["w_out"].copy())
-    gp0 = moe.GateParams(t["w_bint_noaug"].copy(), t["w_iint_noaug"].copy(),
-                         t["w_out_noaug"].copy())
+    experts = moe.ExpertOutputs(agg=agg, **{name: t[name] for name in moe.EXPERT_TENSORS})
+    gp = moe.GateParams(t["w_bint"], t["w_iint"], t["w_out"])
+    gp0 = moe.GateParams(t["w_bint_noaug"], t["w_iint_noaug"], t["w_out_noaug"])
     return experts, gp, gp0
 
 

@@ -4,7 +4,9 @@ name; renaming or deleting one breaks the benchmark, so it fails here."""
 import importlib.util
 from pathlib import Path
 
-from coldbundle import moe
+import numpy as np
+
+from coldbundle import graph, metrics, moe
 from test_moe import _tiny
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -31,3 +33,22 @@ def test_tracer_patches_every_named_function():
     layer = rec.per_layer()
     assert layer["moe.train_stage3_calls"]["value"] == 1
     assert layer["moe.pseudo_triples"]["value"] == round(0.5 * len(split.train_x))
+
+
+def test_evaluation_and_validation_rank_through_the_traced_kernel():
+    """metrics.evaluate and graph._recall_at_k rank through
+    metrics.rank_candidates, which the tracer times by that name."""
+    split, _ = _tiny()
+    scores = np.random.default_rng(0).normal(size=(split.catalog.n_users,
+                                                   split.catalog.n_bundles))
+    rec = _recorder()
+    rec.start("t")
+    try:
+        for call in (lambda: metrics.evaluate(scores, split, k=5),
+                     lambda: graph._recall_at_k(scores, split.train_x, split.val_x)):
+            before = len(rec.spans)
+            call()
+            names = [span[0] for span in rec.spans[before:]]
+            assert names.count("metrics.rank_candidates") == 1, names
+    finally:
+        rec.stop()

@@ -20,6 +20,14 @@ def test_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.tensors["b"], t["b"])
 
 
+def test_required_tensors(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, "stage1", {}, {"a": np.zeros(2), "b": np.ones(3)})
+    assert set(load_checkpoint(path, require=("a", "b")).tensors) == {"a", "b"}
+    with pytest.raises(ContractError, match=r"\['c', 'd'\]"):
+        load_checkpoint(path, require=("a", "d", "c"))
+
+
 def test_save_deterministic(tmp_path):
     t = {"a": Rng(0).normal((3, 4))}
     save_checkpoint(tmp_path / "one.ckpt", "stage2", {"k": 2}, t)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coldbundle.checkpoint import load_checkpoint, save_checkpoint
 from coldbundle.cli import main
 
 MICRO = [
@@ -106,3 +107,16 @@ def test_malformed_checkpoint_header_exits_2(tmp_path):
     assert _run(out, "synth") == 0
     (out / "stage1.ckpt").write_bytes(b"CBCK1\n" + (5).to_bytes(8, "little") + b'{"config":{}}')
     assert _run(out, "train", "2") == 2
+
+
+def test_checkpoint_missing_tensor_exits_2(trained, capsys):
+    ckpt = trained / "stage3.ckpt"
+    original = ckpt.read_bytes()
+    ck = load_checkpoint(ckpt)
+    del ck.tensors["w_out_noaug"]
+    save_checkpoint(ckpt, ck.stage, ck.config, ck.tensors)
+    try:
+        assert _run(trained, "eval") == 2
+    finally:
+        ckpt.write_bytes(original)
+    assert "w_out_noaug" in capsys.readouterr().err

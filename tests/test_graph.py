@@ -6,7 +6,7 @@ import pytest
 from coldbundle.data import InteractionSet, Kind, Scenario, make_split, synth_blockmodel
 from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.graph import (
-    Stage1Config, _sample_negatives, aggregate_items, bpr_loss, membership_matrix,
+    Stage1Config, _recall_at_k, _sample_negatives, aggregate_items, bpr_loss, membership_matrix,
     normalize_adjacency, propagate, propagate_backward, train_stage1,
 )
 from coldbundle.rng import Rng
@@ -158,3 +158,39 @@ def test_sample_negatives_rejects_row_without_candidates(time_limit):
     assert rng._counter == 0
     neg = _sample_negatives(rng, np.array([0, 2, 0]), candidates, pos_sets)
     assert neg[0] != 3 and neg[2] != 3 and set(neg.tolist()) <= {3, 5, 7}
+
+
+def _argsort_recall_at_k(scores, train_x, eval_x, k=20):
+    """Validation Recall@k over a full stable argsort, summed user by user."""
+    masked = scores.copy()
+    masked[train_x.rows, train_x.cols] = -np.inf
+    pos_by_user = [[] for _ in range(scores.shape[0])]
+    for u, b in zip(eval_x.rows.tolist(), eval_x.cols.tolist()):
+        pos_by_user[u].append(b)
+    total, count = 0.0, 0
+    order = np.argsort(-masked, axis=1, kind="stable")[:, :k]
+    for u, pos in enumerate(pos_by_user):
+        if pos:
+            total += len(set(order[u].tolist()) & set(pos)) / len(pos)
+            count += 1
+    return total / count if count else 0.0
+
+
+def test_recall_at_k_equals_argsort_reference():
+    rng = Rng(13)
+    for seed in range(3):
+        split = _tiny_split(seed)
+        shape = (split.catalog.n_users, split.catalog.n_bundles)
+        cont = rng.normal(shape)
+        # many users with uneven positive counts, so the sum's order shows
+        dense = _random_graph(rng, 300, shape[1], p=0.4)
+        for scores in (cont, np.zeros(shape), np.round(cont, 1)):
+            for eval_x in (split.val_x, split.test_x):
+                for k in (1, 5, 9, 10, 20):
+                    want = _argsort_recall_at_k(scores, split.train_x, eval_x, k)
+                    got = _recall_at_k(scores, split.train_x, eval_x, k)
+                    assert type(got) is float and got == want
+        big = np.round(rng.normal((300, shape[1])), 1)
+        for k in (1, 5, 20):
+            want = _argsort_recall_at_k(big, split.train_x, dense, k)
+            assert _recall_at_k(big, split.train_x, dense, k) == want

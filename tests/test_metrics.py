@@ -1,14 +1,16 @@
 """Ranking metrics against brute-force oracles; evaluation protocol; projection."""
 
-import itertools
+import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from coldbundle.data import Scenario, make_split, synth_blockmodel
+from coldbundle.data import InteractionSet, Scenario, make_split, synth_blockmodel
 from coldbundle.errors import BoundsError, ContractError
 from coldbundle.metrics import (
-    SITUATION_KEYS, evaluate, ndcg_at_k, project_2d, rank_candidates, recall_at_k,
+    SITUATION_KEYS, MetricReport, evaluate, ndcg_at_k, project_2d, rank_candidates,
+    recall_at_k,
 )
 from coldbundle.rng import Rng
 
@@ -56,22 +58,148 @@ def test_rank_candidates_masks_train_and_breaks_ties():
     split = _split()
     cat = split.catalog
     scores = np.zeros((cat.n_users, cat.n_bundles))  # all ties
-    order = rank_candidates(scores, split)
     train_pairs = split.train_x.pair_set()
-    for u in range(cat.n_users):
-        row = order[u].tolist()
-        n_masked = sum(1 for b in range(cat.n_bundles) if (u, b) in train_pairs)
-        unmasked = row[:cat.n_bundles - n_masked]
-        # ties resolve to ascending id among unmasked candidates
-        assert unmasked == sorted(unmasked)
-        for b in unmasked:
-            assert (u, b) not in train_pairs
+    for k in (3, cat.n_bundles):
+        order = rank_candidates(scores, split.train_x, k)
+        assert order.shape == (cat.n_users, k)
+        for u in range(cat.n_users):
+            row = order[u].tolist()
+            n_masked = sum(1 for b in range(cat.n_bundles) if (u, b) in train_pairs)
+            unmasked = row[:cat.n_bundles - n_masked]
+            # ties resolve to ascending id among unmasked candidates
+            assert unmasked == sorted(unmasked)
+            for b in unmasked:
+                assert (u, b) not in train_pairs
 
 
 def test_rank_candidates_shape_check():
     split = _split()
     with pytest.raises(ContractError):
-        rank_candidates(np.zeros((3, 3)), split)
+        rank_candidates(np.zeros((3, 3)), split.train_x, 2)
+    with pytest.raises(ContractError):
+        rank_candidates(np.zeros(5), split.train_x, 2)
+    with pytest.raises(BoundsError):
+        rank_candidates(np.zeros((3, 3)), split.train_x, 0)
+    with pytest.raises(ContractError):
+        evaluate(np.zeros((3, 3)), split)
+
+
+def test_rank_candidates_rejects_nonfinite_scores():
+    split = _split()
+    cat = split.catalog
+    u, b = int(split.test_x.rows[0]), int(split.test_x.cols[0])
+    for bad in (np.nan, np.inf):
+        scores = np.zeros((cat.n_users, cat.n_bundles))
+        scores[u, b] = bad
+        with pytest.raises(ContractError):
+            rank_candidates(scores, split.train_x, 5)
+        with pytest.raises(ContractError):
+            evaluate(scores, split)
+    scores = Rng(3).normal((cat.n_users, cat.n_bundles))
+    scores[u, b] = -np.inf  # the mask value is a legal score
+    np.testing.assert_array_equal(rank_candidates(scores, split.train_x, 5),
+                                  _lexsort_oracle(scores, split.train_x)[:, :5])
+
+
+def _lexsort_oracle(scores, train_x):
+    """The full per-row ranking: np.lexsort by (-masked score, id)."""
+    masked = scores.copy()
+    masked[train_x.rows, train_x.cols] = -np.inf
+    ids = np.arange(scores.shape[1])
+    return np.array([np.lexsort((ids, -masked[u])) for u in range(scores.shape[0])])
+
+
+def _crowded(split):
+    """split with user 0 holding all but two bundles and user 1 every
+    bundle in train, so their rows have fewer unmasked candidates than k."""
+    n = split.catalog.n_bundles
+    tx = split.train_x
+    rows = np.r_[tx.rows, np.zeros(n - 2, np.int64), np.ones(n, np.int64)]
+    cols = np.r_[tx.cols, np.arange(2, n), np.arange(n)]
+    return dataclasses.replace(split, train_x=InteractionSet.from_pairs(tx.kind, rows, cols))
+
+
+def _score_kinds(rng, shape):
+    cont = rng.normal(shape)
+    return {"continuous": cont, "all-equal": np.full(shape, 0.25),
+            "one-decimal": np.round(cont, 1)}
+
+
+def test_rank_candidates_against_lexsort_oracle():
+    rng = Rng(11)
+    for seed in range(3):
+        split = _crowded(_split(seed))
+        n = split.catalog.n_bundles
+        for kind, scores in _score_kinds(rng, (split.catalog.n_users, n)).items():
+            full = _lexsort_oracle(scores, split.train_x)
+            for k in (1, n - 1, n, n + 5):
+                got = rank_candidates(scores, split.train_x, k)
+                np.testing.assert_array_equal(got, full[:, :min(k, n)], err_msg=f"{kind} k={k}")
+
+
+def _reference_evaluate(scores, split, k):
+    """The per-user evaluation loop over the full lexsort ranking."""
+    cat = split.catalog
+    order = _lexsort_oracle(np.asarray(scores, dtype=np.float64), split.train_x)
+    train_pairs = split.train_x.pair_set()
+    pos_by_user = [[] for _ in range(cat.n_users)]
+    for u, b in zip(split.test_x.rows.tolist(), split.test_x.cols.tolist()):
+        pos_by_user[u].append(b)
+    train_deg = split.train_x.row_degrees(cat.n_users)
+    hits = {key: 0 for key in SITUATION_KEYS}
+    recalls, ndcgs, cold_recalls = [], [], []
+    for u in range(cat.n_users):
+        pos = set(pos_by_user[u])
+        if not pos:
+            continue
+        ranked = order[u].tolist()
+        topk = ranked[:min(k, cat.n_bundles - int(train_deg[u]))]
+        for b in topk:
+            if (u, b) in train_pairs:
+                raise ContractError("train positive leaked into ranked candidates")
+        recalls.append(recall_at_k(ranked, pos, k))
+        ndcgs.append(ndcg_at_k(ranked, pos, k))
+        for b in topk:
+            if b in pos:
+                bint = "cold" if split.bundle_bint_cold[b] else "warm"
+                iint = "cold" if split.bundle_iint_cold[b] else "warm"
+                hits[f"{bint}__{iint}"] += 1
+        cold_pos = {b for b in pos if split.bundle_bint_cold[b]}
+        if cold_pos:
+            cold_recalls.append(sum(1 for b in topk if b in cold_pos) / len(cold_pos))
+    return MetricReport(
+        scenario=split.scenario.value, k=k, n_users_evaluated=len(recalls),
+        recall=float(np.mean(recalls)) if recalls else 0.0,
+        ndcg=float(np.mean(ndcgs)) if ndcgs else 0.0,
+        situation_hits=hits,
+        cold_bundle_recall=float(np.mean(cold_recalls)) if cold_recalls else 0.0,
+        cold_bundle_users=len(cold_recalls))
+
+
+def _dense_test(split, rng):
+    """split with about half of each user's non-train bundles as test
+    positives, so users hold many hits and DCG sums many terms."""
+    shape = (split.catalog.n_users, split.catalog.n_bundles)
+    free = rng.uniform(shape[0] * shape[1]).reshape(shape) < 0.5
+    free[split.train_x.rows, split.train_x.cols] = False
+    rows, cols = np.nonzero(free)
+    return dataclasses.replace(split, test_x=InteractionSet.from_pairs(split.test_x.kind,
+                                                                        rows, cols))
+
+
+@pytest.mark.parametrize("scenario", [Scenario.COLD_START, Scenario.WARM_START])
+def test_evaluate_equals_per_user_reference(scenario):
+    rng = Rng(12)
+    for seed in range(2):
+        cat, x, y, z = synth_blockmodel(30, 40, 24, 3, 4, 0.5, seed)
+        split = _crowded(make_split(x, y, z, cat, scenario, seed=seed))
+        if seed:
+            split = _dense_test(split, rng)
+        for kind, scores in _score_kinds(rng, (cat.n_users, cat.n_bundles)).items():
+            for k in (1, 5, 20, 30, 50):
+                got, want = evaluate(scores, split, k), _reference_evaluate(scores, split, k)
+                assert got == want, f"{kind} k={k}"
+                assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 def test_evaluate_report_consistency():

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from coldbundle import moe
 from coldbundle.data import InteractionSet, Scenario, make_split, synth_blockmodel
 from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.graph import membership_matrix
@@ -177,6 +178,32 @@ def test_stage3_gradcheck_all_gates():
     _, grads = stage3_loss_and_grads(x, gp, (u, bp, bn), pseudo)
     report = finite_diff_check(loss_fn, gp.params(), grads)
     assert report["max_rel_err"] < 1e-4
+
+
+def test_phase_two_skips_view_gate_gradients_bitwise(monkeypatch):
+    """Phase two asks for the w_out gradient alone; the loss, that gradient,
+    the trained w_out and the phase-two history equal those of the
+    all-gates computation bit for bit."""
+    split, x = _tiny()
+    gp = GateParams.create(x.d, Rng(9))
+    u, bp = split.train_x.rows[:40], split.train_x.cols[:40]
+    triples = (u, bp, np.roll(bp, 3))
+    pseudo = sample_pseudo_triples(split, 25, 0.9, Rng(9).derive("p"))
+    for batch, extra in ((triples, pseudo), (triples, None), ((u[:0],) * 3, pseudo)):
+        loss, grads = stage3_loss_and_grads(x, gp, batch, extra, view_gates=False)
+        ref_loss, ref_grads = stage3_loss_and_grads(x, gp, batch, extra)
+        assert loss == ref_loss and grads[:2] == [None, None]
+        np.testing.assert_array_equal(grads[2], ref_grads[2])
+
+    config = Stage3Config(eta=0.5, epochs=3, batch_size=32, seed=4)
+    gp, gp0, history = train_stage3(split, x, config)
+    all_gates = moe.stage3_loss_and_grads
+    monkeypatch.setattr(moe, "stage3_loss_and_grads",
+                        lambda *args, view_gates: all_gates(*args))
+    ref, ref0, ref_history = train_stage3(split, x, config)
+    for trained, want in ((gp, ref), (gp0, ref0)):
+        np.testing.assert_array_equal(trained.w_out, want.w_out)
+    assert history == ref_history
 
 
 def test_pseudo_triples_properties():
