@@ -9,7 +9,9 @@ Layout of a ``.ckpt`` file:
 
 The header carries ``{"stage": str, "config": {...}, "payload_sha256": hex,
 "tensors": [{"name", "shape"}, ...]}``.  Saving is byte-deterministic for
-identical inputs; load-then-save round-trips exactly.
+identical inputs; load-then-save round-trips exactly.  Checkpoints and the
+run directory's JSON and CSV reports are written through `atomic_open`, so
+a failed write leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import math
 import operator
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +51,21 @@ def _payload(tensors: dict) -> bytes:
     return b"".join(chunks)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temp file beside `path` for writing; on a clean exit it
+    replaces `path`, on an exception it is removed and `path` is untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, stage: str, config: dict, tensors: dict) -> None:
     if stage not in STAGE_ORDER:
         raise ContractError(f"unknown stage tag {stage!r}")
@@ -60,7 +78,7 @@ def save_checkpoint(path, stage: str, config: dict, tensors: dict) -> None:
                     for name, arr in tensors.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)

@@ -92,9 +92,9 @@ class InteractionSet:
         return np.bincount(self.cols, minlength=n_cols).astype(np.int64)
 
 
-def load_interactions(path, kind: Kind, catalog: Catalog | None = None) -> InteractionSet:
-    """Read a two-column TSV into an InteractionSet (deduplicated)."""
-    path = Path(path)
+def _read_pairs(path) -> tuple[list[int], list[int]]:
+    """Rows and columns of a headerless two-column integer TSV, blank lines
+    skipped; a malformed line raises ParseError with its line number."""
     rows, cols = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -105,11 +105,17 @@ def load_interactions(path, kind: Kind, catalog: Catalog | None = None) -> Inter
             if len(parts) != 2:
                 raise ParseError(path, line_no, f"expected two tab-separated fields, got {len(parts)}")
             try:
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
+                r, c = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
-    out = InteractionSet.from_pairs(kind, rows, cols)
+            rows.append(r)
+            cols.append(c)
+    return rows, cols
+
+
+def load_interactions(path, kind: Kind, catalog: Catalog | None = None) -> InteractionSet:
+    """Read a two-column TSV into an InteractionSet (deduplicated)."""
+    out = InteractionSet.from_pairs(kind, *_read_pairs(Path(path)))
     if catalog is not None:
         out.check_bounds(catalog)
     return out
@@ -137,24 +143,10 @@ def ingest_remap(raw_dir, out_dir) -> Catalog:
     raw_pairs = {}
     seen: dict[str, set[int]] = {"user": set(), "bundle": set(), "item": set()}
     for fname, (row_cls, col_cls) in files.items():
-        pairs = []
-        path = raw_dir / fname
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError(path, line_no, "expected two tab-separated fields")
-                try:
-                    r, c = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
-                pairs.append((r, c))
-                seen[row_cls].add(r)
-                seen[col_cls].add(c)
-        raw_pairs[fname] = pairs
+        rows, cols = _read_pairs(raw_dir / fname)
+        raw_pairs[fname] = list(zip(rows, cols))
+        seen[row_cls].update(rows)
+        seen[col_cls].update(cols)
     remap = {cls: {raw: dense for dense, raw in enumerate(sorted(ids))} for cls, ids in seen.items()}
     with open(out_dir / "idmap.tsv", "w", encoding="utf-8", newline="\n") as fh:
         for cls in ("user", "bundle", "item"):

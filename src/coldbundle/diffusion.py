@@ -8,6 +8,13 @@ deterministic strided denoising loop: at each kept timestep the implied
 noise is extracted and re-applied at the next kept timestep, with no fresh
 noise, so outputs are reproducible and the full-length loop is recovered
 exactly when the stride is 1.
+
+Anchors are searched in blocks of ANCHOR_BLOCK entities: one sparse product
+gives a block's composition dot products with every warm entity (exact
+integers, as compositions are binary), each divided by the product of the
+two norms, and `metrics.rank_candidates` picks the top n of each row with
+the query's own column masked, so ties break by ascending id, the
+evaluation ranking's rule.
 """
 
 from __future__ import annotations
@@ -18,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import InteractionSet
+from .data import InteractionSet, Kind
 from .errors import ContractError, DivergenceError
 from .graph import _sample_negatives, bpr_loss, membership_matrix
+from .metrics import rank_candidates
 from .nn import Adam, Mlp
 from .rng import Rng
 
@@ -30,6 +38,10 @@ log = logging.getLogger(__name__)
 # count 500 and scaled inversely with T so total injected noise stays
 # roughly constant across step counts.
 _BETA_LO, _BETA_HI, _REF_T = 1e-4, 0.02, 500
+
+# Entities per anchor-search block; a block's similarities to the warm set
+# are one dense (block, n_warm) matrix.
+ANCHOR_BLOCK = 256
 
 
 @dataclass
@@ -107,8 +119,11 @@ def denoiser_forward(den: Denoiser, x_t: np.ndarray, cond: np.ndarray,
     """Batched x0 prediction; returns (x0_hat, tape)."""
     x_t = np.atleast_2d(x_t)
     cond = np.atleast_2d(cond)
-    t_arr = np.full(x_t.shape[0], t) if np.isscalar(t) else np.asarray(t)
-    temb = time_embedding(t_arr, s.T, den.d_time)
+    if np.isscalar(t):
+        # One embedding row serves every row of the batch.
+        temb = np.broadcast_to(time_embedding(t, s.T, den.d_time), (x_t.shape[0], den.d_time))
+    else:
+        temb = time_embedding(np.asarray(t), s.T, den.d_time)
     inp = np.concatenate([x_t, cond, temb], axis=1)
     return den.net.forward(inp)
 
@@ -182,25 +197,40 @@ def build_anchor_index(comp: sp.csr_matrix, warm_ids: np.ndarray,
     return AnchorIndex(warm_ids, comp.tocsr(), norms, reps[warm_ids])
 
 
-def anchor(entity: int, idx: AnchorIndex, n: int) -> np.ndarray:
+def anchor(entity, idx: AnchorIndex, n: int) -> np.ndarray:
     """Mean embedded representation of the top-n composition-cosine-similar
-    warm entities (self excluded, ties broken by ascending id)."""
+    warm entities (self excluded, ties broken by ascending id).
+
+    `entity` is an id or an array of ids; a scalar id gives a 1-D result.
+    The whole block is scored against every warm entity by one sparse
+    product and ranked by `rank_candidates`, its own warm column masked.
+    A query with fewer than n candidates averages all of them; one with an
+    empty composition averages every warm entity but itself.
+    """
     if n < 1 or idx.warm_ids.size == 0:
         raise ContractError("anchor needs n >= 1 and a nonempty warm set")
-    cand = idx.warm_ids[idx.warm_ids != entity]
-    if cand.size == 0:
+    ents = np.atleast_1d(np.asarray(entity, dtype=np.int64))
+    warm = idx.warm_ids
+    is_warm = np.isin(ents, warm)
+    if warm.size == 1 and is_warm.any():
         raise ContractError("no warm candidates besides the query entity")
-    q = idx.comp[entity].toarray().ravel()
-    qn = idx.comp_norms[entity]
-    if qn == 0.0:
-        log.info("entity %d has empty composition; using mean of all warm reps", entity)
-        reps = idx.warm_reps[np.isin(idx.warm_ids, cand)]
-        return reps.mean(axis=0)
-    sims = (idx.comp[cand] @ q) / (idx.comp_norms[cand] * qn + 1e-300)
-    order = np.lexsort((cand, -sims))
-    top = cand[order[:n]]
-    pos = np.searchsorted(idx.warm_ids, top)
-    return idx.warm_reps[pos].mean(axis=0)
+    qn = idx.comp_norms[ents]
+    # Binary compositions: the dot products are exact integers.
+    dots = (idx.comp[ents] @ idx.comp[warm].T).toarray()
+    sims = dots / (np.multiply.outer(qn, idx.comp_norms[warm]) + 1e-300)
+    # (row, warm column) of each warm query itself, masked like a train pair.
+    own = InteractionSet(Kind.BUNDLE_ITEM, np.flatnonzero(is_warm),
+                         np.searchsorted(warm, ents[is_warm]))
+    k = min(n, warm.size)
+    top = rank_candidates(sims, own, k)
+    out = idx.warm_reps[top].mean(axis=1)
+    if k == warm.size and is_warm.any():
+        # A warm query's own column, masked, ranks last: drop it.
+        out[is_warm] = idx.warm_reps[top[is_warm, :-1]].mean(axis=1)
+    for r in np.flatnonzero(qn == 0.0):
+        log.info("entity %d has empty composition; using mean of all warm reps", ents[r])
+        out[r] = idx.warm_reps[warm != ents[r]].mean(axis=0)
+    return out[0] if np.ndim(entity) == 0 else out
 
 
 def strided_timesteps(T: int, T_prime: int) -> np.ndarray:
@@ -316,5 +346,7 @@ def generate_all(view: str, z: InteractionSet, n_bundles: int, n_items: int,
     else:
         raise ContractError(f"unknown view {view!r}")
     idx = build_anchor_index(comp, warm_ids, embedded_reps)
-    anchors = np.stack([anchor(e, idx, top_n) for e in range(n_entities)])
+    anchors = np.concatenate([
+        anchor(np.arange(start, min(start + ANCHOR_BLOCK, n_entities)), idx, top_n)
+        for start in range(0, n_entities, ANCHOR_BLOCK)])
     return reverse_denoise(anchors, conds, den, s, T_prime)

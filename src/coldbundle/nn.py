@@ -15,12 +15,15 @@ from .errors import ContractError, DivergenceError, ShapeError
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) otherwise, without
+    boolean-mask gathers.  min(x, -x) is -|x| and keeps a NaN's sign."""
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    e /= d
+    np.divide(1.0, d, out=e, where=x >= 0)
+    return e
 
 
 def silu(x):
@@ -144,16 +147,30 @@ class Adam:
                 raise ShapeError("parameter/gradient shape mismatch")
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(f"non-finite gradient in parameter block {i}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[i], self.v[i]
+            step, denom = np.empty_like(p), np.empty_like(p)
+            # In place, in the operation order of m = b1 m + (1 - b1) g,
+            # v = b2 v + ((1 - b2) g) g and p -= (lr m_hat) / (sqrt(v_hat) + eps),
+            # so the update is bitwise that of the out-of-place expressions.
+            m *= self.beta1
+            np.multiply(1.0 - self.beta1, g, out=step)
+            m += step
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=step)
+            step *= g
+            v += step
+            np.divide(m, 1.0 - self.beta1 ** t, out=step)
+            step *= self.lr
+            np.divide(v, 1.0 - self.beta2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p -= step
             if self.weight_decay:
-                decay = self.lr * self.weight_decay * p
+                np.multiply(self.lr * self.weight_decay, p, out=step)
                 if decay_masks is not None and decay_masks[i] is not None:
-                    decay = decay * decay_masks[i]
-                p -= decay
+                    step *= decay_masks[i]
+                p -= step
 
 
 def finite_diff_check(loss_fn, params: list[np.ndarray],

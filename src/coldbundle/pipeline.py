@@ -27,7 +27,7 @@ import numpy as np
 from . import diffusion as dif
 from . import graph as gr
 from . import moe
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .data import (Catalog, InteractionSet, Kind, Scenario, ScenarioSplit,
                    load_interactions, load_split, make_split, save_interactions,
                    save_split, synth_blockmodel)
@@ -113,7 +113,7 @@ class RunConfig:
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
@@ -328,7 +328,7 @@ def run_eval(cfg: RunConfig, split: ScenarioSplit, out: Path,
 
 
 def write_hits_csv(report: MetricReport, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("situation,hits\n")
         total = 0
         for key in sorted(report.situation_hits):
@@ -338,7 +338,7 @@ def write_hits_csv(report: MetricReport, path: Path) -> None:
 
 
 def write_gates_csv(experts: moe.ExpertOutputs, gp: moe.GateParams, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("entity_class,id,view,w_embed,w_diff\n")
         for cls, eid, view, we, wd in moe.gate_dump_rows(experts, gp):
             fh.write(f"{cls},{eid},{view},{we:.10f},{wd:.10f}\n")
@@ -358,7 +358,7 @@ def write_projection_csv(cfg: RunConfig, split: ScenarioSplit,
         reps = experts.r_e_items if table.endswith("embed") else experts.r_d_items
         labels = np.where(split.item_cold, "cold", "warm").tolist()
     rows = project_2d(reps, labels, seed=cfg.seed)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("id,x,y,label\n")
         for i, x, y, label in rows:
             fh.write(f"{i},{x:.10f},{y:.10f},{label}\n")

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
-from coldbundle import graph, metrics, moe
+from coldbundle import diffusion, graph, metrics, moe
+from coldbundle.rng import Rng
+from test_diffusion import _view_inputs
 from test_moe import _tiny
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -52,3 +54,32 @@ def test_evaluation_and_validation_rank_through_the_traced_kernel():
             assert names.count("metrics.rank_candidates") == 1, names
     finally:
         rec.stop()
+
+
+def test_anchor_search_counts_blocks_and_mlp_spans_record(monkeypatch):
+    """generate_all calls diffusion.anchor once per row block, and the MLP
+    forward/backward and Adam step still record spans under their names."""
+    _, z, comps = _view_inputs()
+    n_bundles, n_items = comps["bint"].shape
+    monkeypatch.setattr(diffusion, "ANCHOR_BLOCK", 8)
+    rng = Rng(0)
+    reps = rng.normal((n_bundles, 4))
+    warm = np.arange(0, n_bundles, 2)
+    cond = diffusion.ConditionProvider(item_cond=rng.normal((n_items, 3)),
+                                       bundle_cond=rng.normal((n_bundles, 3)))
+    s = diffusion.make_schedule("linear", 20)
+    rec = _recorder()
+    rec.start("t")
+    try:
+        den = diffusion.train_diffusion(reps[warm], cond.bundle_cond[warm], s,
+                                        diffusion.DiffusionConfig(epochs=1, d_time=4),
+                                        rng.derive("den"))
+        diffusion.generate_all("bint", z, n_bundles, n_items, reps, warm, cond,
+                               den, s, 4, 3)
+    finally:
+        rec.stop()
+    layer = rec.per_layer()
+    assert layer["diffusion.anchor_calls"]["value"] == -(-n_bundles // 8)
+    names = {span[0] for span in rec.spans}
+    assert {"nn.mlp_forward", "nn.mlp_backward", "nn.adam_step",
+            "diffusion.generate_all"} <= names

@@ -1,12 +1,15 @@
 """Checkpoint format: round trips, corruption detection, stage ordering."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from coldbundle import checkpoint
 from coldbundle.checkpoint import load_checkpoint, save_checkpoint
 from coldbundle.errors import ContractError, OrderingError
+from coldbundle.pipeline import _write_json
 from coldbundle.rng import Rng
 
 
@@ -92,3 +95,40 @@ def test_not_a_checkpoint(tmp_path):
     path.write_bytes(b"definitely not")
     with pytest.raises(ContractError):
         load_checkpoint(path)
+
+
+class _FailingWrites:
+    """File wrapper whose third write raises, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+def test_failed_writes_leave_previous_file(tmp_path, monkeypatch):
+    ckpt, report = tmp_path / "x.ckpt", tmp_path / "metrics.json"
+    save_checkpoint(ckpt, "stage1", {"seed": 1}, {"a": np.arange(4.0)})
+    _write_json(report, {"recall": 0.5})
+    before = {path: path.read_bytes() for path in (ckpt, report)}
+
+    # json.dump streams chunks, so the temp file is part-written when it raises.
+    with pytest.raises(TypeError):
+        _write_json(report, {"recall": 0.25, "z": object()})
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *a, **kw: _FailingWrites(open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(ckpt, "stage1", {"seed": 2}, {"a": np.ones(4)})
+
+    assert {path: path.read_bytes() for path in (ckpt, report)} == before
+    assert sorted(os.listdir(tmp_path)) == ["metrics.json", "x.ckpt"]

@@ -48,6 +48,21 @@ def test_load_rejects_bad_lines(tmp_path):
         load_interactions(tmp_path / "bad2.tsv", Kind.USER_ITEM)
 
 
+@pytest.mark.parametrize("bad", ["user_bundle.tsv", "user_item.tsv", "bundle_item.tsv"])
+@pytest.mark.parametrize("line, reason", [("3\t4\t5", "got 3"), ("3", "got 1"),
+                                          ("3\tx", "non-integer")])
+def test_ingest_reports_bad_line_number(tmp_path, bad, line, reason):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for name in ("user_bundle.tsv", "user_item.tsv", "bundle_item.tsv"):
+        (raw / name).write_text("1\t2\n")
+    (raw / bad).write_text(f"1\t2\n\n{line}\n")
+    with pytest.raises(ParseError, match=reason) as exc:
+        ingest_remap(raw, tmp_path / "out")
+    assert (exc.value.path, exc.value.line_no) == (raw / bad, 3)
+    assert f"{bad}:3:" in str(exc.value)
+
+
 def test_ingest_remap_dense_and_stable(tmp_path):
     raw = tmp_path / "raw"
     raw.mkdir()

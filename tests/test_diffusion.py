@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from coldbundle import diffusion
 from coldbundle.data import InteractionSet, Kind
 from coldbundle.diffusion import (
-    ConditionConfig, DiffusionConfig, build_anchor_index, anchor, denoiser_forward,
-    diffusion_loss, forward_noise, implied_noise, make_denoiser, make_schedule,
-    pretrain_conditions, reverse_denoise, strided_timesteps, time_embedding,
-    train_diffusion,
+    ConditionConfig, ConditionProvider, DiffusionConfig, build_anchor_index, anchor,
+    denoiser_forward, diffusion_loss, forward_noise, generate_all, implied_noise,
+    make_denoiser, make_schedule, pretrain_conditions, reverse_denoise,
+    strided_timesteps, time_embedding, train_diffusion,
 )
 from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.nn import finite_diff_check
@@ -168,3 +169,92 @@ def test_condition_pretraining_rejects_bundle_with_every_item(time_limit):
     z = InteractionSet.from_pairs(Kind.BUNDLE_ITEM, [0, 0, 0, 1], [0, 1, 2, 0])
     with time_limit(5), pytest.raises(DegenerateSplitError):
         pretrain_conditions(z, 2, 3, ConditionConfig(d_c=4, epochs=1), Rng(0))
+
+
+def _anchor_reference(entity, idx, n):
+    """The per-entity anchor search the blocked kernel replaced."""
+    cand = idx.warm_ids[idx.warm_ids != entity]
+    q = idx.comp[entity].toarray().ravel()
+    qn = idx.comp_norms[entity]
+    if qn == 0.0:
+        return idx.warm_reps[np.isin(idx.warm_ids, cand)].mean(axis=0)
+    sims = (idx.comp[cand] @ q) / (idx.comp_norms[cand] * qn + 1e-300)
+    top = cand[np.lexsort((cand, -sims))[:n]]
+    return idx.warm_reps[np.searchsorted(idx.warm_ids, top)].mean(axis=0)
+
+
+def _view_inputs(seed=0, n_bundles=30, n_items=17):
+    """Random binary bundle-item affiliations with an empty bundle, an item
+    in no bundle and three bundles of one composition (all-tie rows)."""
+    gen = np.random.default_rng(seed)
+    dense = gen.random((n_bundles, n_items)) < 0.25
+    dense[3] = False
+    dense[:, 5] = False
+    dense[9, [0, 1]] = True
+    dense[[10, 11, 12]] = dense[9]
+    rows, cols = np.nonzero(dense)
+    z = InteractionSet.from_pairs(Kind.BUNDLE_ITEM, rows, cols)
+    zc = sp.csr_matrix((np.ones(len(z)), (z.rows, z.cols)), shape=(n_bundles, n_items))
+    return gen, z, {"bint": zc, "iint": zc.T.tocsr()}
+
+
+@pytest.mark.parametrize("view", ["bint", "iint"])
+@pytest.mark.parametrize("n", [1, 3, 5, 40])
+@pytest.mark.parametrize("warm_share", [0.5, 0.15, 1.0])
+def test_blocked_anchor_equals_per_entity_reference(view, n, warm_share):
+    gen, _, comps = _view_inputs()
+    comp = comps[view]
+    n_entities = comp.shape[0]
+    warm = np.flatnonzero(gen.random(n_entities) < warm_share)
+    warm = np.union1d(warm, [0, 10, 11])  # two warm rows of the all-tie group
+    reps = gen.normal(size=(n_entities, 4))
+    idx = build_anchor_index(comp, warm, reps)
+    ref = np.stack([_anchor_reference(e, idx, n) for e in range(n_entities)])
+    got = anchor(np.arange(n_entities), idx, n)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+    for e in (0, 3, 5, n_entities - 1):
+        one = anchor(e, idx, n)
+        assert one.shape == (4,)
+        assert one.tobytes() == ref[e].tobytes()
+
+
+def test_warm_query_with_fewer_candidates_than_n():
+    comp = sp.csr_matrix(np.array([[1, 0], [1, 1], [0, 1], [1, 0]], dtype=np.float64))
+    reps = np.array([[1.0], [2.0], [4.0], [8.0]])
+    idx = build_anchor_index(comp, np.array([0, 1, 2]), reps)
+    # warm entity 0 has two candidates, cold entity 3 has three
+    got = anchor(np.array([0, 3]), idx, 5)
+    np.testing.assert_array_equal(got, [[3.0], [7.0 / 3.0]])
+
+
+@pytest.mark.parametrize("view", ["bint", "iint"])
+def test_generate_all_blocks_equal_per_entity_reference(view, monkeypatch):
+    gen, z, comps = _view_inputs(seed=1)
+    n_bundles, n_items = comps["bint"].shape
+    n_entities = comps[view].shape[0]
+    monkeypatch.setattr(diffusion, "ANCHOR_BLOCK", 7)  # divides neither count
+    rng = Rng(4)
+    d, d_c = 4, 3
+    cond = ConditionProvider(item_cond=rng.normal((n_items, d_c)),
+                             bundle_cond=rng.normal((n_bundles, d_c)))
+    den = make_denoiser(d, d_c, 6, rng)
+    s = make_schedule("linear", 30)
+    reps = gen.normal(size=(n_entities, d))
+    warm = np.flatnonzero(gen.random(n_entities) < 0.6)
+    got = generate_all(view, z, n_bundles, n_items, reps, warm, cond, den, s, 6, 3)
+    idx = build_anchor_index(comps[view], warm, reps)
+    start = np.stack([_anchor_reference(e, idx, 3) for e in range(n_entities)])
+    conds = cond.bundle_cond if view == "bint" else cond.item_cond
+    ref = reverse_denoise(start, conds, den, s, 6)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_scalar_timestep_embeds_once_bitwise():
+    rng = Rng(2)
+    s = make_schedule("linear", 40)
+    den = make_denoiser(3, 2, 8, rng)
+    x, cond = rng.normal((5, 3)), rng.normal((5, 2))
+    a, _ = denoiser_forward(den, x, cond, 17, s)
+    b, _ = denoiser_forward(den, x, cond, np.full(5, 17), s)
+    assert a.tobytes() == b.tobytes()

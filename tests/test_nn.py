@@ -15,6 +15,26 @@ def test_sigmoid_stable():
     np.testing.assert_allclose(s, [0.0, 0.5, 1.0], atol=1e-12)
 
 
+def _masked_sigmoid(x):
+    """The boolean-mask sigmoid the mask-free kernel replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_masked_reference_bitwise():
+    special = np.array([0.0, -0.0, 1e4, -1e4, np.inf, -np.inf, np.nan, -np.nan,
+                        1.0, -1.0, 709.0, -745.0, 5e-324, -5e-324])
+    normals = np.random.default_rng(0).normal(scale=8.0, size=(64, 33))
+    for x in (special, normals, normals[:, ::3]):
+        got = _sigmoid(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == _masked_sigmoid(x).tobytes()
+
+
 def test_silu_grad_matches_fd():
     x = np.linspace(-3, 3, 50)
     h = 1e-6
@@ -86,6 +106,49 @@ def test_adam_decay_mask():
     mask = np.array([[1.0], [0.0]])
     opt2.step([p2], [np.zeros_like(p2)], decay_masks=[mask])
     assert p2[0, 0] < 1.0 and p2[1, 0] == 1.0
+
+
+class _AdamReference:
+    """The out-of-place Adam update the in-place step replaced."""
+
+    def __init__(self, params, lr, weight_decay):
+        self.lr, self.weight_decay, self.t = lr, weight_decay, 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads, decay_masks=None):
+        self.t += 1
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = 0.9 * self.m[i] + (1.0 - 0.9) * g
+            self.v[i] = 0.999 * self.v[i] + (1.0 - 0.999) * g * g
+            m_hat = self.m[i] / (1.0 - 0.9 ** self.t)
+            v_hat = self.v[i] / (1.0 - 0.999 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            if self.weight_decay:
+                decay = self.lr * self.weight_decay * p
+                if decay_masks is not None and decay_masks[i] is not None:
+                    decay = decay * decay_masks[i]
+                p -= decay
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.3])
+def test_adam_equals_out_of_place_reference_bitwise(masked, weight_decay):
+    rng = Rng(11)
+    params = [rng.normal((6, 3)), rng.normal(4)]
+    ref_params = [p.copy() for p in params]
+    opt = Adam(params, lr=0.05, weight_decay=weight_decay)
+    ref = _AdamReference(ref_params, lr=0.05, weight_decay=weight_decay)
+    for _ in range(20):
+        grads = [rng.normal((6, 3)), rng.normal(4)]
+        masks = [(rng.normal((6, 1)) > 0).astype(np.float64), None] if masked else None
+        opt.step(params, grads, decay_masks=masks)
+        ref.step(ref_params, grads, decay_masks=masks)
+        for got, want in zip(params + opt.m + opt.v, ref_params + ref.m + ref.v):
+            assert got.tobytes() == want.tobytes()
+    state = opt.m + opt.v
+    for a in state:
+        assert not any(np.shares_memory(a, b) for b in params + grads + state if b is not a)
 
 
 def test_adam_rejects_bad_grads():
