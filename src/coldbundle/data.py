@@ -7,9 +7,11 @@ produces dense ids plus an ``idmap.tsv`` sidecar.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +94,93 @@ class InteractionSet:
         return np.bincount(self.cols, minlength=n_cols).astype(np.int64)
 
 
-def _read_pairs(path) -> tuple[list[int], list[int]]:
+@dataclass
+class PositivesIndex:
+    """The positives of every row of an InteractionSet, in CSR form.
+
+    The set's canonical (row, col) order makes `cols` the CSR indices and
+    `rows * n_cols + cols` an ascending key array, so membership is one
+    `searchsorted`.  The training loops build one each; `holds` and `row`
+    serve per-draw Python loops from cached list copies.
+    """
+
+    n_cols: int
+    rows: np.ndarray    # (nnz,) ascending
+    cols: np.ndarray    # (nnz,) ascending within each row
+    indptr: np.ndarray  # (n_rows + 1,) row r owns cols[indptr[r]:indptr[r + 1]]
+    keys: np.ndarray    # (nnz,) rows * n_cols + cols, ascending
+
+    @classmethod
+    def of(cls, rel: InteractionSet, n_rows: int, n_cols: int) -> "PositivesIndex":
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(rel.row_degrees(n_rows), out=indptr[1:])
+        return cls(n_cols, rel.rows, rel.cols, indptr, rel.rows * n_cols + rel.cols)
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def contains(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Elementwise: is (rows[i], cols[i]) a positive?"""
+        keys = rows * self.n_cols + cols
+        at = np.searchsorted(self.keys, keys)
+        found = at < self.keys.size
+        found[found] = self.keys[at[found]] == keys[found]
+        return found
+
+    @cached_property
+    def _lists(self) -> tuple[list[int], list[int]]:
+        return self.indptr.tolist(), self.cols.tolist()
+
+    def row(self, r: int) -> list[int]:
+        """Row r's positives as a list, in ascending order."""
+        indptr, cols = self._lists
+        return cols[indptr[r]:indptr[r + 1]]
+
+    def holds(self, r: int, c: int) -> bool:
+        """Is (r, c) a positive?  Scalar form of `contains`."""
+        indptr, cols = self._lists
+        hi = indptr[r + 1]
+        at = bisect.bisect_left(cols, c, indptr[r], hi)
+        return at < hi and cols[at] == c
+
+
+def _pairs_fast(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rows and columns of `data` when it holds only digits, tabs and
+    newlines and every non-empty line is two runs of 1 to 18 digits (so
+    int64 holds them) joined by one tab; None for anything else."""
+    if data.translate(None, b"0123456789\t\n"):
+        return None
+    buf = np.frombuffer(data + b"\n", dtype=np.uint8)
+    nl = np.flatnonzero(buf == 10)
+    tab = np.flatnonzero(buf == 9)
+    starts = np.r_[0, nl[:-1] + 1]
+    line = np.searchsorted(nl, tab)
+    # exactly the non-empty lines hold a tab, one each
+    if not np.array_equal(line, np.flatnonzero(nl > starts)):
+        return None
+    if not tab.size:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    left = tab - starts[line]
+    right = nl[line] - tab - 1
+    if min(left.min(), right.min()) < 1 or max(left.max(), right.max()) > 18:
+        return None
+    vals = np.fromstring(data.replace(b"\t", b"\n"), dtype=np.int64, sep="\n")
+    if vals.size != 2 * tab.size:
+        return None
+    return vals[0::2], vals[1::2]
+
+
+def _read_pairs(path) -> tuple:
     """Rows and columns of a headerless two-column integer TSV, blank lines
-    skipped; a malformed line raises ParseError with its line number."""
+    skipped; a malformed line raises ParseError with its line number.
+
+    A file of plain digit pairs is parsed as one array (int64 arrays come
+    back); any other file goes through the line loop (lists of ints come
+    back, ids beyond int64 included), which also reports the errors.
+    """
+    fast = _pairs_fast(Path(path).read_bytes())
+    if fast is not None:
+        return fast
     rows, cols = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -143,7 +229,7 @@ def ingest_remap(raw_dir, out_dir) -> Catalog:
     raw_pairs = {}
     seen: dict[str, set[int]] = {"user": set(), "bundle": set(), "item": set()}
     for fname, (row_cls, col_cls) in files.items():
-        rows, cols = _read_pairs(raw_dir / fname)
+        rows, cols = (list(map(int, v)) for v in _read_pairs(raw_dir / fname))
         raw_pairs[fname] = list(zip(rows, cols))
         seen[row_cls].update(rows)
         seen[col_cls].update(cols)

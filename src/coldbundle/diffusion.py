@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import InteractionSet, Kind
+from .data import InteractionSet, Kind, PositivesIndex
 from .errors import ContractError, DivergenceError
 from .graph import _sample_negatives, bpr_loss, membership_matrix
 from .metrics import rank_candidates
-from .nn import Adam, Mlp
+from .nn import Adam, Mlp, scatter_rows
 from .rng import Rng
 
 log = logging.getLogger(__name__)
@@ -295,9 +295,7 @@ def pretrain_conditions(z: InteractionSet, n_bundles: int, n_items: int,
     d = config.d_c
     w_bundle = rng.uniform_init((n_bundles, d), d)
     w_item = rng.uniform_init((n_items, d), d)
-    members = [set() for _ in range(n_bundles)]
-    for b, i in zip(z.rows.tolist(), z.cols.tolist()):
-        members[b].add(i)
+    members = PositivesIndex.of(z, n_bundles, n_items)
     params = [w_bundle, w_item]
     opt = Adam(params, lr=config.lr)
     n_pairs = len(z)
@@ -312,11 +310,9 @@ def pretrain_conditions(z: InteractionSet, n_bundles: int, n_items: int,
             s_neg = np.sum(w_bundle[b] * w_item[ineg], axis=1)
             _, c = bpr_loss(s_pos, s_neg)
             cw = c[:, None]
-            g_b = np.zeros_like(w_bundle)
-            g_i = np.zeros_like(w_item)
-            np.add.at(g_b, b, cw * (w_item[ip] - w_item[ineg]))
-            np.add.at(g_i, ip, cw * w_bundle[b])
-            np.add.at(g_i, ineg, -cw * w_bundle[b])
+            g_b = scatter_rows(b, cw * (w_item[ip] - w_item[ineg]), n_bundles)
+            g_i = scatter_rows(np.concatenate([ip, ineg]),
+                               np.concatenate([cw * w_bundle[b], -cw * w_bundle[b]]), n_items)
             opt.step(params, [g_b, g_i])
     bundle_cond = membership_matrix(z, n_bundles, n_items, require_nonempty=False) @ w_item
     return ConditionProvider(item_cond=w_item, bundle_cond=bundle_cond)

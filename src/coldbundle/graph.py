@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import InteractionSet, ScenarioSplit
+from .data import InteractionSet, PositivesIndex, ScenarioSplit
 from .errors import ContractError, DegenerateSplitError, DivergenceError
 from .metrics import rank_candidates
-from .nn import Adam, _sigmoid
+from .nn import Adam, _sigmoid, scatter_rows
 from .rng import Rng
 
 
@@ -133,22 +133,36 @@ class PriorEmbeddings:
 
 
 def _sample_negatives(rng: Rng, users: np.ndarray, candidates: np.ndarray,
-                      pos_sets: list[set]) -> np.ndarray:
+                      positives: PositivesIndex) -> np.ndarray:
     """One negative per row of `users`, drawn uniformly from the distinct ids
-    `candidates` outside the row's positive set, redrawing collisions.
+    `candidates` outside the row's positives, redrawing collisions.
 
     Stage 1 passes train-interacted bundles only, so cold embeddings receive
     no gradient and stay at their initial values.  A row whose positives
     cover every candidate raises DegenerateSplitError before any draw.
+
+    Every row takes one draw from one array call; then each colliding row,
+    in row order, redraws one scalar at a time until it misses its
+    positives.  Rows that do not collide draw nothing more, so the stream
+    is that of a scalar loop over all rows.
     """
-    for u in np.unique(users).tolist():
-        pos = pos_sets[u]
-        if len(pos) >= candidates.size and pos.issuperset(candidates.tolist()):
-            raise DegenerateSplitError(f"row {u} has no negative candidate left")
+    covered = np.bincount(positives.rows[np.isin(positives.cols, candidates)],
+                          minlength=positives.indptr.size - 1)
+    present = np.unique(users)
+    full = present[covered[present] >= candidates.size]
+    if full.size:
+        raise DegenerateSplitError(f"row {full[0]} has no negative candidate left")
     neg = candidates[rng.integers(users.size, 0, candidates.size)]
-    for i, u in enumerate(users.tolist()):
-        while int(neg[i]) in pos_sets[u]:
-            neg[i] = int(candidates[rng.integers(1, 0, candidates.size)[0]])
+    redo = np.flatnonzero(positives.contains(users, neg))
+    if redo.size:
+        pool = candidates.tolist()
+        with rng.replay() as draws:
+            for i in redo.tolist():
+                u = int(users[i])
+                b = pool[draws.raw() % len(pool)]
+                while positives.holds(u, b):
+                    b = pool[draws.raw() % len(pool)]
+                neg[i] = b
     return neg
 
 
@@ -190,9 +204,7 @@ def train_stage1(split: ScenarioSplit, config: Stage1Config):
     agg = membership_matrix(split.z, cat.n_bundles, cat.n_items)
     agg_t = agg.T.tocsr()
 
-    pos_sets = [set() for _ in range(cat.n_users)]
-    for u, b in zip(split.train_x.rows.tolist(), split.train_x.cols.tolist()):
-        pos_sets[u].add(b)
+    positives = PositivesIndex.of(split.train_x, cat.n_users, cat.n_bundles)
     warm_bundles = np.unique(split.train_x.cols)
     if warm_bundles.size < 2:
         raise ContractError("need at least two train-interacted bundles")
@@ -209,7 +221,7 @@ def train_stage1(split: ScenarioSplit, config: Stage1Config):
 
     for epoch in range(config.epochs):
         order = rng.permutation(n_pairs)
-        neg_all = _sample_negatives(rng, users_all[order], warm_bundles, pos_sets)
+        neg_all = _sample_negatives(rng, users_all[order], warm_bundles, positives)
         epoch_loss = 0.0
         for start in range(0, n_pairs, config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -227,17 +239,12 @@ def train_stage1(split: ScenarioSplit, config: Stage1Config):
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
 
-            g_ru_b = np.zeros_like(ru_b)
-            g_rb = np.zeros_like(rb)
-            g_ru_i = np.zeros_like(ru_i)
-            g_rb_i = np.zeros_like(rb_i)
             cw = c[:, None]
-            np.add.at(g_ru_b, u, cw * (rb[bp] - rb[bn]))
-            np.add.at(g_rb, bp, cw * ru_b[u])
-            np.add.at(g_rb, bn, -cw * ru_b[u])
-            np.add.at(g_ru_i, u, cw * (rb_i[bp] - rb_i[bn]))
-            np.add.at(g_rb_i, bp, cw * ru_i[u])
-            np.add.at(g_rb_i, bn, -cw * ru_i[u])
+            pn = np.concatenate([bp, bn])
+            g_ru_b = scatter_rows(u, cw * (rb[bp] - rb[bn]), cat.n_users)
+            g_rb = scatter_rows(pn, np.concatenate([cw * ru_b[u], -cw * ru_b[u]]), cat.n_bundles)
+            g_ru_i = scatter_rows(u, cw * (rb_i[bp] - rb_i[bn]), cat.n_users)
+            g_rb_i = scatter_rows(pn, np.concatenate([cw * ru_i[u], -cw * ru_i[u]]), cat.n_bundles)
             g_ri = agg_t @ g_rb_i
 
             g_eu_b, g_eb = propagate_backward(gx, config.K, g_ru_b, g_rb)

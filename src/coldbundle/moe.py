@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import ScenarioSplit
+from .data import PositivesIndex, ScenarioSplit
 from .errors import ContractError, DegenerateSplitError, DivergenceError
 from .graph import _recall_at_k, _sample_negatives, bpr_loss
-from .nn import Adam
+from .nn import Adam, scatter_rows
 from .rng import Rng
 
 log = logging.getLogger(__name__)
@@ -231,6 +231,7 @@ def _real_triple_loss_and_grads(x: ExpertOutputs, gp: GateParams, triples,
     zero output-gate gradient; view_gates False: view-gate entries None)."""
     u, bp, bn = triples
     rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
+    n_bundles = x.r_e_bint.shape[0]
     GB = np.zeros_like(x.r_e_bint)
     GI = np.zeros_like(x.r_e_iint_b)
     g_w_out = np.zeros_like(gp.w_out)
@@ -240,13 +241,14 @@ def _real_triple_loss_and_grads(x: ExpertOutputs, gp: GateParams, triples,
         y_pos, vjp_pos = two_view_scores(ru1, ru2, rb_bint[bp], rb_iint[bp], w_out)
         y_neg, vjp_neg = two_view_scores(ru1, ru2, rb_bint[bn], rb_iint[bn], w_out)
         loss, c = bpr_loss(y_pos, y_neg)
-        for b, vjp, coef in ((bp, vjp_pos, c), (bn, vjp_neg, -c)):
-            d_w, d_fb, d_fi = vjp(coef, reps=view_gates)
+        d_pos, d_neg = vjp_pos(c, reps=view_gates), vjp_neg(-c, reps=view_gates)
+        for d_w in (d_pos[0], d_neg[0]):
             if d_w is not None:
                 g_w_out += d_w
-            if view_gates:
-                np.add.at(GB, b, d_fb)
-                np.add.at(GI, b, d_fi)
+        if view_gates:
+            b = np.concatenate([bp, bn])
+            GB = scatter_rows(b, np.concatenate([d_pos[1], d_neg[1]]), n_bundles)
+            GI = scatter_rows(b, np.concatenate([d_pos[2], d_neg[2]]), n_bundles)
     if not view_gates:
         return loss, [None, None, g_w_out]
     g_w_bint = _gate_grad_from_rep_grads(GB, x.r_e_bint, x.r_d_bint, w_b, x.bundle_feature)
@@ -289,34 +291,46 @@ def sample_pseudo_triples(split: ScenarioSplit, count: int, beta_alpha: float,
                           rng: Rng) -> np.ndarray:
     """`count` augmented triples as a PSEUDO_DTYPE record array:
     pseudo-positive interpolates two of the user's train positives,
-    pseudo-negative two never-interacted bundles."""
+    pseudo-negative two never-interacted bundles.
+
+    Each triple draws, in this order: its user (one raw modulo the number
+    of eligible users); two distinct positives, the first two of a stable
+    sort of one raw per positive (the user's positives in ascending id
+    order); the positive ratio (Johnk); a negative pair (two raws modulo
+    n_bundles) until both miss the user's positives and differ; the
+    negative ratio.  The draws are scalar in a plain loop over
+    `rng.replay()`, so they cost no numpy call each; the counter-based
+    stream makes them the draws of the equivalent scalar Rng calls.
+    """
     cat = split.catalog
-    pos_by_user = [[] for _ in range(cat.n_users)]
-    for u, b in zip(split.train_x.rows.tolist(), split.train_x.cols.tolist()):
-        pos_by_user[u].append(b)
-    eligible = [u for u in range(cat.n_users) if len(pos_by_user[u]) >= 2]
-    skipped = cat.n_users - len(eligible)
+    positives = PositivesIndex.of(split.train_x, cat.n_users, cat.n_bundles)
+    degrees = positives.degrees()
+    eligible = np.flatnonzero(degrees >= 2)
+    skipped = cat.n_users - eligible.size
     if skipped:
         log.info("cold-gating augmentation: %d users lack two positives, skipped", skipped)
-    if not eligible:
+    if not eligible.size:
         return np.zeros(0, dtype=PSEUDO_DTYPE)
-    pos_sets = [set(p) for p in pos_by_user]
-    crowded = [u for u in eligible if cat.n_bundles - len(pos_sets[u]) < 2]
-    if crowded:
+    crowded = eligible[cat.n_bundles - degrees[eligible] < 2]
+    if crowded.size:
         raise DegenerateSplitError(
-            f"users {crowded[:10]} leave fewer than two bundles for a pseudo-negative")
+            f"users {crowded[:10].tolist()} leave fewer than two bundles for a pseudo-negative")
+    eligible = eligible.tolist()
+    n_bundles = cat.n_bundles
     rows = []
-    for _ in range(count):
-        u = eligible[int(rng.integers(1, 0, len(eligible))[0])]
-        pool = pos_by_user[u]
-        i, j = rng.choice(len(pool), 2)[:2]
-        lam_p = rng.beta(beta_alpha, beta_alpha)
-        while True:
-            nx, ny = rng.integers(2, 0, cat.n_bundles)
-            if nx != ny and int(nx) not in pos_sets[u] and int(ny) not in pos_sets[u]:
-                break
-        lam_n = rng.beta(beta_alpha, beta_alpha)
-        rows.append((u, pool[int(i)], pool[int(j)], lam_p, int(nx), int(ny), lam_n))
+    with rng.replay() as draws:
+        for _ in range(count):
+            u = eligible[draws.raw() % len(eligible)]
+            pool = positives.row(u)
+            keys = draws.raws(len(pool))
+            i, j = sorted(range(len(pool)), key=keys.__getitem__)[:2]
+            lam_p = draws.beta(beta_alpha, beta_alpha)
+            while True:
+                nx, ny = draws.raw() % n_bundles, draws.raw() % n_bundles
+                if nx != ny and not positives.holds(u, nx) and not positives.holds(u, ny):
+                    break
+            lam_n = draws.beta(beta_alpha, beta_alpha)
+            rows.append((u, pool[i], pool[j], lam_p, nx, ny, lam_n))
     return np.array(rows, dtype=PSEUDO_DTYPE)
 
 
@@ -329,9 +343,9 @@ def _view_phase_loss_and_grads(x: ExpertOutputs, gp: GateParams,
 
 
 def _epoch_negatives(rng: Rng, users: np.ndarray, warm_bundles: np.ndarray,
-                     pos_sets: list[set]) -> np.ndarray:
+                     positives: PositivesIndex) -> np.ndarray:
     """One epoch of negatives from the train-interacted bundles."""
-    return _sample_negatives(rng, users, warm_bundles, pos_sets)
+    return _sample_negatives(rng, users, warm_bundles, positives)
 
 
 def _output_gate_epoch(x: ExpertOutputs, gp: GateParams, opt: Adam, batches: list,
@@ -379,9 +393,7 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
     users_all = split.train_x.rows
     pos_all = split.train_x.cols
     n_pairs = users_all.size
-    pos_sets = [set() for _ in range(cat.n_users)]
-    for u, b in zip(users_all.tolist(), pos_all.tolist()):
-        pos_sets[u].add(b)
+    positives = PositivesIndex.of(split.train_x, cat.n_users, cat.n_bundles)
     warm_bundles = np.unique(pos_all)
     if warm_bundles.size < 2:
         raise ContractError("need at least two train-interacted bundles")
@@ -390,7 +402,7 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
 
     def epoch_batches() -> list:
         order = rng.permutation(n_pairs)
-        neg_all = _epoch_negatives(rng, users_all[order], warm_bundles, pos_sets)
+        neg_all = _epoch_negatives(rng, users_all[order], warm_bundles, positives)
         return [(users_all[order[s:s + size]], pos_all[order[s:s + size]], neg_all[s:s + size])
                 for s in range(0, n_pairs, size)]
 

@@ -35,6 +35,17 @@ def silu_grad(x):
     return s * (1.0 + x * (1.0 - s))
 
 
+def scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, d) sums of the rows of `values` grouped by `rows`, bit for bit
+    `np.add.at(np.zeros((n_rows, d)), rows, values)`: one bincount over the
+    flat index rows * d + j adds each bin's weights in input order, starting
+    from 0.0, as add.at does.  A caller with several scatters into one
+    table concatenates them in their old order."""
+    d = values.shape[1]
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
 _ACTIVATIONS = {
     "silu": (silu, silu_grad),
     "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),

@@ -13,6 +13,15 @@ of (seed, counter) it reproduces bit-identically across platforms and is
 cheap to vectorize.  Integer draws use modulo reduction; the bias is
 negligible for the ranges used here (< 2**32) and keeps the stream layout
 simple.
+
+Samplers whose draw count depends on the values drawn (rejection loops)
+read the stream through :class:`Replay`.  It fetches raws with one
+``Rng.raw`` call per block of REPLAY_BLOCK and hands them out one by one
+as Python ints.  Since draw ``i`` depends only on (seed, i), handing out
+draw ``i`` from a pre-fetched block gives exactly the value a scalar
+``raw(1)`` call at counter ``i`` would have; on exit the replay sets the
+counter to the first raw it did not hand out, so the stream continues as
+if every draw had been a scalar call.
 """
 
 from __future__ import annotations
@@ -23,6 +32,10 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
+
+# Raws a Replay fetches per Rng.raw call: bounded, so a long replay holds
+# at most one block of Python ints.
+REPLAY_BLOCK = 4096
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -97,10 +110,72 @@ class Rng:
         n = int(np.prod(shape))
         return ((self.uniform(n) * 2.0 - 1.0) * bound).reshape(shape)
 
+    def replay(self) -> "Replay":
+        """Scalar reader over the rest of this stream (a context manager)."""
+        return Replay(self)
+
+
+class Replay:
+    """The stream of an Rng read one draw at a time, in stream order.
+
+    Use as ``with rng.replay() as draws:``.  Raws come from ``Rng.raw`` in
+    blocks of REPLAY_BLOCK (or one larger block for a longer ``raws``
+    request); on exit, also by an exception, the Rng's counter is set to
+    just past the last raw handed out, so the replay consumes exactly the
+    draws of the equivalent scalar calls.  Nothing else may draw from the
+    Rng while the replay is open.
+    """
+
+    def __init__(self, rng: Rng):
+        self._rng = rng
+        self._base = rng._counter  # stream position of _buf[0]
+        self._buf: list[int] = []
+        self._pos = 0
+
+    def __enter__(self) -> "Replay":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._rng._counter = self._base + self._pos
+
+    def _fetch(self, n: int) -> None:
+        """Make at least n raws available past _pos."""
+        self._base += self._pos
+        self._buf = self._buf[self._pos:]
+        self._pos = 0
+        self._buf += self._rng.raw(max(REPLAY_BLOCK, n - len(self._buf))).tolist()
+
+    def raw(self) -> int:
+        """The next raw draw, as ``int(rng.raw(1)[0])`` would give it."""
+        if self._pos == len(self._buf):
+            self._fetch(1)
+        self._pos += 1
+        return self._buf[self._pos - 1]
+
+    def raws(self, n: int) -> list[int]:
+        """The next n raw draws, as ``rng.raw(n).tolist()`` would give them."""
+        if self._pos + n > len(self._buf):
+            self._fetch(n)
+        self._pos += n
+        return self._buf[self._pos - n:self._pos]
+
+    def uniform(self) -> float:
+        """The next draw as a double on [0, 1), equal to ``rng.uniform(1)[0]``:
+        the top 53 bits are exact in a double and the scale is a power of
+        two."""
+        return (self.raw() >> 11) * 2.0 ** -53
+
     def beta(self, a: float, b: float) -> float:
-        """One Beta(a, b) draw (Johnk's rejection algorithm)."""
+        """One Beta(a, b) draw (Johnk's rejection algorithm).
+
+        Each attempt takes two uniforms u, v.  Python floats and numpy
+        float64 scalars share the C library's pow and IEEE arithmetic, so
+        the value equals the same formula on numpy scalars bit for bit
+        (numpy's array power may round differently).
+        """
         while True:
-            u, v = self.uniform(2)
+            u = self.uniform()
+            v = self.uniform()
             x = u ** (1.0 / a)
             y = v ** (1.0 / b)
             if x + y <= 1.0:

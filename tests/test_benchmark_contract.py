@@ -9,6 +9,7 @@ import numpy as np
 from coldbundle import diffusion, graph, metrics, moe
 from coldbundle.rng import Rng
 from test_diffusion import _view_inputs
+from samplers_reference import pos_sets_of, sample_negatives_reference
 from test_moe import _tiny
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -83,3 +84,35 @@ def test_anchor_search_counts_blocks_and_mlp_spans_record(monkeypatch):
     names = {span[0] for span in rec.spans}
     assert {"nn.mlp_forward", "nn.mlp_backward", "nn.adam_step",
             "diffusion.generate_all"} <= names
+
+
+def test_stage3_sampler_spans_and_counts():
+    """With eta > 0 the pseudo-triple and negative-sampler spans record, the
+    triple count is the requested one, and graph.negatives_draws is the
+    scalar reference sampler's counter advance."""
+    split, x = _tiny()
+    config = moe.Stage3Config(eta=0.5, epochs=2, batch_size=16)
+    n_pairs = len(split.train_x)
+    # replay train_stage3's negative stream with the scalar reference
+    rng = Rng(config.seed).derive("stage3")
+    users, warm = split.train_x.rows, np.unique(split.train_x.cols)
+    pos_sets = pos_sets_of(split.train_x, split.catalog.n_users)
+    draws = 0
+    for _ in range(2 * config.epochs):
+        order = rng.permutation(n_pairs)
+        before = rng._counter
+        sample_negatives_reference(rng, users[order], warm, pos_sets)
+        draws += rng._counter - before
+    rec = _recorder()
+    rec.start("t")
+    try:
+        moe.train_stage3(split, x, config)
+    finally:
+        rec.stop()
+    names = [span[0] for span in rec.spans]
+    assert names.count("moe.sample_pseudo_triples") == config.epochs
+    assert names.count("graph.sample_negatives") == 2 * config.epochs
+    counts = rec.counts["t"]
+    assert counts["moe.pseudo_triples"] == config.epochs * round(config.eta * n_pairs)
+    assert counts["graph.negatives_draws"] == draws
+    assert counts["graph.negatives_accepted"] == 2 * config.epochs * n_pairs

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coldbundle import data
 from coldbundle.data import (
-    Catalog, InteractionSet, Kind, Scenario, cold_stats, ingest_remap,
+    Catalog, InteractionSet, Kind, PositivesIndex, Scenario, cold_stats, ingest_remap,
     load_interactions, load_split, make_split, save_interactions, save_split,
     synth_blockmodel,
 )
@@ -46,6 +47,70 @@ def test_load_rejects_bad_lines(tmp_path):
     (tmp_path / "bad2.tsv").write_text("1\tx\n")
     with pytest.raises(ParseError):
         load_interactions(tmp_path / "bad2.tsv", Kind.USER_ITEM)
+
+
+def _loop_pairs(path, monkeypatch):
+    """_read_pairs with the fast path switched off: the line loop alone."""
+    with monkeypatch.context() as m:
+        m.setattr(data, "_pairs_fast", lambda _: None)
+        return data._read_pairs(path)
+
+
+@pytest.mark.parametrize("text, fast", [
+    ("", True), ("\n\n", True), ("1\t2\n", True), ("1\t2", True),
+    ("\n0\t0\n\n007\t10\n999999999999999999\t5\n", True),
+    ("1\t2\r\n3\t4\r\n", False), ("+1\t2\n", False), (" 1\t2\n", False),
+    ("1_0\t2\n", False), ("1\t1234567890123456789\n", False),
+    ("1\t2\n3\t4\t\n", False), ("1\t2\n3\n", False), ("\t2\n", False), ("1\t\n", False),
+    ("1\t2\t3\n4\n", False),
+])
+def test_read_pairs_fast_path_agrees_with_line_loop(tmp_path, monkeypatch, text, fast):
+    """The array parse takes exactly the plain digit-pair files, and gives
+    the loop's values; anything else goes to the loop."""
+    path = tmp_path / "f.tsv"
+    path.write_bytes(text.encode())
+    assert (data._pairs_fast(path.read_bytes()) is not None) == fast
+    try:
+        want = _loop_pairs(path, monkeypatch)
+    except ParseError as err:
+        with pytest.raises(ParseError) as exc:
+            data._read_pairs(path)
+        assert (str(exc.value), exc.value.line_no) == (str(err), err.line_no)
+        return
+    rows, cols = data._read_pairs(path)
+    assert [list(map(int, rows)), list(map(int, cols))] == [list(want[0]), list(want[1])]
+    assert (type(rows) is np.ndarray) == fast
+
+
+def test_read_pairs_fast_path_on_generated_files(tmp_path, monkeypatch):
+    _, x, y, z = _toy(3, n_users=200, n_bundles=50, n_items=300)
+    for rel in (x, y, z):
+        path = tmp_path / "rel.tsv"
+        save_interactions(path, rel)
+        assert data._pairs_fast(path.read_bytes()) is not None
+        rows, cols = data._read_pairs(path)
+        want = _loop_pairs(path, monkeypatch)
+        assert rows.tolist() == want[0] and cols.tolist() == want[1]
+
+
+def test_positives_index_matches_sets():
+    rng = np.random.default_rng(4)
+    rel = InteractionSet.from_pairs(Kind.USER_BUNDLE, rng.integers(0, 9, 60),
+                                    rng.integers(0, 13, 60))
+    idx = PositivesIndex.of(rel, 10, 13)
+    sets = [set() for _ in range(10)]
+    for r, c in zip(rel.rows.tolist(), rel.cols.tolist()):
+        sets[r].add(c)
+    assert idx.degrees().tolist() == [len(p) for p in sets]
+    rows, cols = np.divmod(np.arange(10 * 13), 13)
+    np.testing.assert_array_equal(idx.contains(rows, cols),
+                                  [c in sets[r] for r, c in zip(rows, cols)])
+    for r in range(10):
+        assert idx.row(r) == sorted(sets[r])
+        assert [idx.holds(r, c) for c in range(13)] == [c in sets[r] for c in range(13)]
+    empty = PositivesIndex.of(InteractionSet.from_pairs(Kind.USER_BUNDLE, [], []), 2, 3)
+    assert not empty.contains(np.array([0, 1]), np.array([2, 0])).any()
+    assert not empty.holds(1, 2) and empty.row(0) == []
 
 
 @pytest.mark.parametrize("bad", ["user_bundle.tsv", "user_item.tsv", "bundle_item.tsv"])

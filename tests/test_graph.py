@@ -1,15 +1,21 @@
 """Graph propagation experts: normalization, pooling, adjoint, training."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from coldbundle.data import InteractionSet, Kind, Scenario, make_split, synth_blockmodel
+from coldbundle.data import (
+    InteractionSet, Kind, PositivesIndex, Scenario, make_split, synth_blockmodel,
+)
 from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.graph import (
     Stage1Config, _recall_at_k, _sample_negatives, aggregate_items, bpr_loss, membership_matrix,
     normalize_adjacency, propagate, propagate_backward, train_stage1,
 )
 from coldbundle.rng import Rng
+from samplers_reference import pos_sets_of, sample_negatives_reference
 
 
 def _dense_oracle(edges, n_left, n_right, e_left, e_right, K):
@@ -151,13 +157,67 @@ def test_stage1_deterministic():
 
 def test_sample_negatives_rejects_row_without_candidates(time_limit):
     candidates = np.array([3, 5, 7])
-    pos_sets = [{3}, {3, 5, 7}, set()]
+    positives = PositivesIndex.of(
+        InteractionSet.from_pairs(Kind.USER_BUNDLE, [0, 1, 1, 1], [3, 3, 5, 7]), 3, 8)
     rng = Rng(0)
-    with time_limit(5), pytest.raises(DegenerateSplitError):
-        _sample_negatives(rng, np.array([0, 1, 2]), candidates, pos_sets)
+    with time_limit(5), pytest.raises(DegenerateSplitError, match="row 1 "):
+        _sample_negatives(rng, np.array([0, 1, 2]), candidates, positives)
     assert rng._counter == 0
-    neg = _sample_negatives(rng, np.array([0, 2, 0]), candidates, pos_sets)
+    neg = _sample_negatives(rng, np.array([0, 2, 0]), candidates, positives)
     assert neg[0] != 3 and neg[2] != 3 and set(neg.tolist()) <= {3, 5, 7}
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.9])
+def test_sample_negatives_equals_scalar_reference(time_limit, p):
+    """Vectorized collision test plus replayed redraws: the scalar loop's
+    negatives and final counter, at low and high collision rates, with
+    candidates a subset of the columns (stage 1) or all of them (conditions)."""
+    rng = Rng(17)
+    for trial in range(4):
+        rel = _random_graph(rng, 30, 25, p)
+        # every row keeps at least one free candidate among 0..24
+        rel = InteractionSet.from_pairs(Kind.USER_BUNDLE, rel.rows[rel.cols != 24],
+                                        rel.cols[rel.cols != 24])
+        positives = PositivesIndex.of(rel, 30, 25)
+        pos_sets = pos_sets_of(rel, 30)
+        users = np.r_[rel.rows, rel.rows[::-1], np.arange(30)]
+        for candidates in (np.arange(25), np.r_[np.unique(rel.cols), 24]):
+            a, b = Rng(trial), Rng(trial)
+            with time_limit(10):
+                got = _sample_negatives(a, users, candidates, positives)
+            want = sample_negatives_reference(b, users, candidates, pos_sets)
+            assert got.tobytes() == want.tobytes()
+            assert a._counter == b._counter
+    assert a._counter > 2 * users.size or p < 0.5  # high rates redraw many rows
+
+
+@given(st.integers(1, 6), st.integers(2, 7),
+       st.sets(st.tuples(st.integers(0, 5), st.integers(0, 6)), max_size=30),
+       st.booleans(), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sample_negatives_property(time_limit, n_rows, n_cols, pairs, crowd, seed):
+    """On any small relation the sampler equals the scalar reference or both
+    raise the same error before drawing; a row holding every candidate but
+    one still terminates."""
+    pairs = {(r % n_rows, c % n_cols) for r, c in pairs}
+    if crowd:
+        pairs |= {(0, c) for c in range(1, n_cols)}
+    rel = InteractionSet.from_pairs(Kind.USER_BUNDLE, [r for r, _ in pairs],
+                                    [c for _, c in pairs])
+    users = np.r_[rel.rows, 0]
+    a, b = Rng(seed), Rng(seed)
+    with time_limit(10):
+        for candidates in (np.arange(n_cols), np.unique(np.r_[rel.cols, 0])):
+            try:
+                want = sample_negatives_reference(b, users, candidates, pos_sets_of(rel, n_rows))
+            except DegenerateSplitError as err:
+                with pytest.raises(DegenerateSplitError, match=re.escape(str(err))):
+                    _sample_negatives(a, users, candidates, PositivesIndex.of(rel, n_rows, n_cols))
+                assert a._counter == b._counter
+                continue
+            got = _sample_negatives(a, users, candidates, PositivesIndex.of(rel, n_rows, n_cols))
+            assert got.tobytes() == want.tobytes() and a._counter == b._counter
 
 
 def _argsort_recall_at_k(scores, train_x, eval_x, k=20):

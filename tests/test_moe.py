@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coldbundle import moe
-from coldbundle.data import InteractionSet, Scenario, make_split, synth_blockmodel
+from coldbundle.data import Catalog, InteractionSet, Kind, Scenario, make_split, synth_blockmodel
 from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.graph import membership_matrix
 from coldbundle.moe import (
@@ -18,6 +20,7 @@ from coldbundle.moe import (
 )
 from coldbundle.nn import finite_diff_check
 from coldbundle.rng import Rng
+from samplers_reference import UNDERFLOW, sample_pseudo_triples_reference
 
 
 def _tiny(seed=0, d=6):
@@ -222,6 +225,88 @@ def test_pseudo_triples_properties():
         assert neg_x not in pos_sets[u] and neg_y not in pos_sets[u]
         assert neg_x != neg_y
         assert 0.0 <= pos_lam <= 1.0 and 0.0 <= neg_lam <= 1.0
+
+
+def _train_only(split, n_users, n_bundles, rows, cols):
+    """split over a catalog of n_users x n_bundles whose train pairs are
+    (rows, cols); the pseudo sampler reads nothing else."""
+    cat = Catalog(n_users, n_bundles, split.catalog.n_items)
+    return dataclasses.replace(split, catalog=cat,
+                               train_x=InteractionSet.from_pairs(Kind.USER_BUNDLE, rows, cols))
+
+
+def _assert_pseudo_matches_reference(split, count, alpha, seed):
+    a, b = Rng(seed), Rng(seed)
+    got = sample_pseudo_triples(split, count, alpha, a)
+    want = sample_pseudo_triples_reference(split, count, alpha, b)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert a._counter == b._counter
+    return a._counter
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.02, 0.002])
+def test_pseudo_triples_equal_scalar_reference(alpha):
+    """The replayed sampler gives the scalar sampler's records and final
+    counter; at alpha 0.002 Johnk's log-scale underflow branch runs."""
+    cat, x, y, z = synth_blockmodel(60, 80, 30, 3, 5, 0.3, 3)
+    split = make_split(x, y, z, cat, Scenario.COLD_START, seed=3)
+    UNDERFLOW["hits"] = 0
+    for seed in range(3):
+        _assert_pseudo_matches_reference(split, 400, alpha, seed)
+    if alpha == 0.002:
+        assert UNDERFLOW["hits"] > 0
+
+
+def test_pseudo_triples_two_positive_pools_and_crowded_negatives(time_limit):
+    """Pools of exactly two positives, and users leaving only two free
+    bundles, so most negative pairs are redrawn."""
+    split, _ = _tiny()
+    n_users, n_bundles = 6, 12
+    pairs = [(u, (u + k) % n_bundles) for u in range(n_users) for k in range(2)]
+    two = _train_only(split, n_users, n_bundles, *zip(*pairs))
+    crowd = [(u, b) for u in range(n_users) for b in range(n_bundles) if b not in (u, u + 1)]
+    tight = _train_only(split, n_users, n_bundles, *zip(*crowd))
+    with time_limit(20):
+        for seed in range(3):
+            _assert_pseudo_matches_reference(two, 200, 0.9, seed)
+            # a valid negative pair is 2 of 144 ordered draws
+            assert _assert_pseudo_matches_reference(tight, 200, 0.9, seed) > 200 * 40
+
+
+@st.composite
+def _train_pairs(draw):
+    n_users = draw(st.integers(1, 6))
+    n_bundles = draw(st.integers(2, 7))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n_users - 1), st.integers(0, n_bundles - 1)),
+                         max_size=30))
+    if draw(st.booleans()) and pairs:
+        # one user holds every warm bundle but one
+        warm = sorted({b for _, b in pairs})
+        pairs |= {(0, b) for b in warm[1:]}
+    return n_users, n_bundles, sorted(pairs)
+
+
+@given(_train_pairs(), st.integers(0, 40), st.sampled_from([0.9, 0.02, 0.002]),
+       st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_pseudo_triples_replay_property(time_limit, case, count, alpha, seed):
+    """On any small split the replay equals the scalar reference, or both
+    raise the same error before drawing."""
+    n_users, n_bundles, pairs = case
+    split = _train_only(_tiny()[0], n_users, n_bundles,
+                        [u for u, _ in pairs], [b for _, b in pairs])
+    a, b = Rng(seed), Rng(seed)
+    with time_limit(10):
+        try:
+            want = sample_pseudo_triples_reference(split, count, alpha, b)
+        except DegenerateSplitError as err:
+            with pytest.raises(DegenerateSplitError, match=re.escape(str(err))):
+                sample_pseudo_triples(split, count, alpha, a)
+            assert a._counter == b._counter == 0
+            return
+        got = sample_pseudo_triples(split, count, alpha, a)
+    assert got.tobytes() == want.tobytes() and a._counter == b._counter
 
 
 def _with_train_pairs(split, user, bundles):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from coldbundle.errors import ContractError, DivergenceError, ShapeError
-from coldbundle.nn import Adam, Mlp, _sigmoid, finite_diff_check, silu, silu_grad
+from coldbundle.nn import (
+    Adam, Mlp, _sigmoid, finite_diff_check, scatter_rows, silu, silu_grad,
+)
 from coldbundle.rng import Rng
 
 
@@ -163,3 +165,21 @@ def test_adam_rejects_bad_grads():
 def test_finite_diff_check_h_bounds():
     with pytest.raises(ContractError):
         finite_diff_check(lambda: 0.0, [np.zeros(1)], [np.zeros(1)], h=1.0)
+
+
+def test_scatter_rows_equals_add_at_bitwise():
+    """Repeated and unsorted indices, two scatters into one table (the
+    concatenated form), an empty scatter, and values whose sums depend on
+    the order of accumulation."""
+    rng = Rng(29)
+    for n_rows, m, d in ((5, 200, 3), (400, 4000, 64), (7, 0, 4), (1, 30, 2)):
+        rows = rng.integers(m, 0, n_rows)
+        values = rng.normal((m, d)) * np.exp(rng.normal((m, 1)) * 8.0)
+        want = np.zeros((n_rows, d))
+        np.add.at(want, rows, values)
+        assert scatter_rows(rows, values, n_rows).tobytes() == want.tobytes()
+        more = rng.integers(m, 0, n_rows)
+        np.add.at(want, more, -values[::-1])
+        got = scatter_rows(np.concatenate([rows, more]),
+                           np.concatenate([values, -values[::-1]]), n_rows)
+        assert got.tobytes() == want.tobytes()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coldbundle import rng as rng_module
 from coldbundle.rng import Rng
+from samplers_reference import UNDERFLOW, beta_reference
 
 
 def test_same_seed_same_stream():
@@ -74,11 +76,68 @@ def test_uniform_init_bound():
 @given(st.integers(min_value=0, max_value=2**32), st.floats(min_value=0.1, max_value=5.0))
 @settings(max_examples=50, deadline=None)
 def test_beta_in_unit_interval(seed, a):
-    x = Rng(seed).beta(a, a)
+    with Rng(seed).replay() as draws:
+        x = draws.beta(a, a)
     assert 0.0 <= x <= 1.0
 
 
 def test_beta_mean_symmetric():
-    r = Rng(23)
-    draws = [r.beta(0.9, 0.9) for _ in range(4000)]
-    assert abs(np.mean(draws) - 0.5) < 0.03
+    with Rng(23).replay() as draws:
+        values = [draws.beta(0.9, 0.9) for _ in range(4000)]
+    assert abs(np.mean(values) - 0.5) < 0.03
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 4096])
+def test_replay_reads_the_scalar_stream(monkeypatch, block):
+    """raw/raws/uniform hand out the scalar calls' draws, across block
+    boundaries and requests longer than a block, and the counter ends just
+    past the last draw handed out."""
+    monkeypatch.setattr(rng_module, "REPLAY_BLOCK", block)
+    ref = Rng(31)
+    ref.raw(5)
+    r = Rng(31)
+    r.raw(5)
+    with r.replay() as draws:
+        for n in (1, 2, 9, 1, 0, 4, 20, 1):
+            assert draws.raws(n) == ref.raw(n).tolist()
+            assert draws.raw() == int(ref.raw(1)[0])
+            assert draws.uniform() == ref.uniform(1)[0]
+    assert r._counter == ref._counter
+    np.testing.assert_array_equal(r.raw(6), ref.raw(6))
+
+
+def test_replay_sets_counter_on_exception_and_without_draws():
+    r = Rng(2)
+    with r.replay():
+        pass
+    assert r._counter == 0
+    with pytest.raises(KeyError), r.replay() as draws:
+        draws.raws(3)
+        raise KeyError("stop")
+    assert r._counter == 3
+
+
+def test_python_pow_equals_numpy_scalar_pow():
+    """Johnk's x = u ** (1/a) in Python floats and numpy float64 scalars
+    agree bitwise, subnormal results included.  (numpy's array power may
+    round differently; the scalar sampler never used it.)"""
+    u = Rng(41).uniform(200_000)
+    for a in (0.9, 0.02, 0.002):
+        want = np.array([v ** (1.0 / a) for v in u])
+        got = np.array([v ** (1.0 / a) for v in u.tolist()])
+        assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero((want > 0) & (want < np.finfo(float).tiny)) > 0
+
+
+@pytest.mark.parametrize("a", [0.9, 0.02, 0.002])
+def test_replay_beta_equals_scalar_reference(a):
+    UNDERFLOW["hits"] = 0
+    ref = Rng(43)
+    want = [float(beta_reference(ref, a, a)) for _ in range(3000)]
+    r = Rng(43)
+    with r.replay() as draws:
+        got = [draws.beta(a, a) for _ in range(3000)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert r._counter == ref._counter
+    if a == 0.002:
+        assert UNDERFLOW["hits"] > 0
