@@ -105,9 +105,7 @@ def run(args) -> int:
 
     if args.command == "ingest":
         catalog = ingest_remap(args.raw, out / "data")
-        pl._write_json(out / "data" / "catalog.json", {
-            "n_users": catalog.n_users, "n_bundles": catalog.n_bundles,
-            "n_items": catalog.n_items})
+        pl.write_catalog(out / "data", catalog)
         print(f"{catalog.n_users} users, {catalog.n_bundles} bundles, "
               f"{catalog.n_items} items -> {out / 'data'}")
         return 0

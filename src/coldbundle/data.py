@@ -75,9 +75,6 @@ class InteractionSet:
     def __len__(self) -> int:
         return int(self.rows.size)
 
-    def pair_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.rows.tolist(), self.cols.tolist()))
-
     def check_bounds(self, catalog: Catalog) -> None:
         n_rows, n_cols = catalog.dims(self.kind)
         if len(self) == 0:
@@ -264,7 +261,6 @@ class ScenarioSplit:
         self.bundle_bint_cold = self.train_x.col_degrees(cat.n_bundles) == 0
         self.item_cold = self.y.col_degrees(cat.n_items) == 0
         ratio = np.zeros(cat.n_bundles)
-        iint_cold = np.zeros(cat.n_bundles, dtype=bool)
         sizes = self.z.row_degrees(cat.n_bundles)
         cold_members = np.bincount(
             self.z.rows, weights=self.item_cold[self.z.cols].astype(np.float64),
@@ -272,8 +268,7 @@ class ScenarioSplit:
         )
         nonempty = sizes > 0
         ratio[nonempty] = cold_members[nonempty] / sizes[nonempty]
-        iint_cold = cold_members > 0
-        self.bundle_iint_cold = iint_cold
+        self.bundle_iint_cold = cold_members > 0
         self.cold_item_ratio = ratio
 
 

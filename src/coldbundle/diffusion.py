@@ -39,6 +39,9 @@ log = logging.getLogger(__name__)
 # roughly constant across step counts.
 _BETA_LO, _BETA_HI, _REF_T = 1e-4, 0.02, 500
 
+# Membership pairs per condition-pretraining step.
+COND_BATCH = 4096
+
 # Entities per anchor-search block; a block's similarities to the warm set
 # are one dense (block, n_warm) matrix.
 ANCHOR_BLOCK = 256
@@ -52,10 +55,13 @@ class NoiseSchedule:
     alpha: np.ndarray
     alpha_bar: np.ndarray
 
-    def bar(self, t: int) -> float:
-        if not 1 <= t <= self.T:
-            raise ContractError(f"timestep {t} outside [1, {self.T}]")
-        return float(self.alpha_bar[t - 1])
+    def bar(self, t):
+        """abar_t of a step t; an array of steps gives a column, one row each."""
+        t = np.asarray(t)
+        bad = t[(t < 1) | (t > self.T)]
+        if bad.size:
+            raise ContractError(f"timestep {bad.flat[0]} outside [1, {self.T}]")
+        return float(self.alpha_bar[t - 1]) if t.ndim == 0 else self.alpha_bar[t - 1][:, None]
 
 
 def make_schedule(kind: str, T: int) -> NoiseSchedule:
@@ -79,16 +85,22 @@ def make_schedule(kind: str, T: int) -> NoiseSchedule:
     return NoiseSchedule(kind, T, beta, alpha, alpha_bar)
 
 
-def forward_noise(x0: np.ndarray, t: int, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray:
-    """x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
+def _noise_scales(t, s: NoiseSchedule):
     ab = s.bar(t)
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    return np.sqrt(ab), np.sqrt(1.0 - ab)
+
+
+def forward_noise(x0: np.ndarray, t, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray:
+    """x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps; t is one step, or an
+    array of steps, one per row of x0."""
+    a, b = _noise_scales(t, s)
+    return a * x0 + b * eps
 
 
 def implied_noise(x_t: np.ndarray, x0_hat: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
     """Algebraic inverse of forward_noise given a clean estimate."""
-    ab = s.bar(t)
-    return (x_t - np.sqrt(ab) * x0_hat) / np.sqrt(1.0 - ab)
+    a, b = _noise_scales(t, s)
+    return (x_t - a * x0_hat) / b
 
 
 def time_embedding(t, T: int, dim: int = 64) -> np.ndarray:
@@ -110,7 +122,7 @@ class Denoiser:
 
 def make_denoiser(d: int, d_cond: int, d_time: int, rng: Rng, hidden: int | None = None) -> Denoiser:
     hidden = hidden or 4 * d
-    net = Mlp.create([d + d_cond + d_time, hidden, hidden, d], rng, hidden_act="silu")
+    net = Mlp.create([d + d_cond + d_time, hidden, hidden, d], rng)
     return Denoiser(net=net, d=d, d_cond=d_cond, d_time=d_time)
 
 
@@ -133,10 +145,19 @@ class DiffusionConfig:
     epochs: int = 300
     batch_size: int = 128
     lr: float = 1e-3
-    weight_decay: float = 0.0
     d_time: int = 64
     hidden: int | None = None
-    seed: int = 0
+
+
+def denoise_loss_and_grads(den: Denoiser, x0: np.ndarray, cond: np.ndarray, t,
+                           eps: np.ndarray, s: NoiseSchedule):
+    """Mean squared x0-prediction error of the rows of x0 noised at steps t
+    with noise eps, and its gradients, ordered like `den.net.params()`."""
+    x0_hat, tape = denoiser_forward(den, forward_noise(x0, t, eps, s), cond, t, s)
+    resid = x0_hat - x0
+    loss = float(np.mean(np.sum(resid ** 2, axis=1)))
+    grads, _ = den.net.backward(tape, 2.0 * resid / x0.shape[0])
+    return loss, grads
 
 
 def train_diffusion(warm_reps: np.ndarray, conds: np.ndarray, s: NoiseSchedule,
@@ -152,34 +173,20 @@ def train_diffusion(warm_reps: np.ndarray, conds: np.ndarray, s: NoiseSchedule,
         den = make_denoiser(d, conds.shape[1], config.d_time, rng.derive("init"),
                             hidden=config.hidden)
     params = den.net.params()
-    opt = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
+    opt = Adam(params, lr=config.lr)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         ts = rng.integers(n, 1, s.T + 1)
         eps = rng.normal((n, d))
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            x0 = warm_reps[idx]
-            t = ts[start:start + config.batch_size]
-            e = eps[start:start + config.batch_size]
-            ab = s.alpha_bar[t - 1][:, None]
-            x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * e
-            x0_hat, tape = denoiser_forward(den, x_t, conds[idx], t, s)
-            resid = x0_hat - x0
-            loss = float(np.mean(np.sum(resid ** 2, axis=1)))
+            stop = start + config.batch_size
+            idx = order[start:stop]
+            loss, grads = denoise_loss_and_grads(den, warm_reps[idx], conds[idx],
+                                                 ts[start:stop], eps[start:stop], s)
             if not np.isfinite(loss):
                 raise DivergenceError(f"diffusion loss diverged at epoch {epoch}")
-            grads, _ = den.net.backward(tape, 2.0 * resid / idx.size)
             opt.step(params, grads)
     return den
-
-
-def diffusion_loss(den: Denoiser, warm_reps, conds, t, eps, s: NoiseSchedule) -> float:
-    """Mean squared x0-prediction error for fixed (t, eps); used by gradient checks."""
-    ab = s.alpha_bar[np.asarray(t) - 1][:, None]
-    x_t = np.sqrt(ab) * warm_reps + np.sqrt(1.0 - ab) * eps
-    x0_hat, _ = denoiser_forward(den, x_t, conds, t, s)
-    return float(np.mean(np.sum((x0_hat - warm_reps) ** 2, axis=1)))
 
 
 @dataclass
@@ -258,10 +265,8 @@ def reverse_denoise(start: np.ndarray, cond: np.ndarray, den: Denoiser,
         if not np.all(np.isfinite(x0_hat)):
             raise DivergenceError(f"non-finite denoiser output at step index {i} (t={t})")
         if i + 1 < ts.size:
-            t_next = int(ts[i + 1])
             eps_hat = implied_noise(x, x0_hat, int(t), s)
-            ab_next = s.bar(t_next)
-            x = np.sqrt(ab_next) * x0_hat + np.sqrt(1.0 - ab_next) * eps_hat
+            x = forward_noise(x0_hat, int(ts[i + 1]), eps_hat, s)
     if start.ndim == 1:
         return x0_hat[0]
     return x0_hat
@@ -278,8 +283,6 @@ class ConditionConfig:
     d_c: int = 64
     epochs: int = 30
     lr: float = 0.05
-    batch_size: int = 4096
-    seed: int = 0
 
 
 def pretrain_conditions(z: InteractionSet, n_bundles: int, n_items: int,
@@ -302,10 +305,10 @@ def pretrain_conditions(z: InteractionSet, n_bundles: int, n_items: int,
     for _ in range(config.epochs):
         order = rng.permutation(n_pairs)
         neg = _sample_negatives(rng, z.rows[order], np.arange(n_items), members)
-        for start in range(0, n_pairs, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, n_pairs, COND_BATCH):
+            idx = order[start:start + COND_BATCH]
             b, ip = z.rows[idx], z.cols[idx]
-            ineg = neg[start:start + config.batch_size]
+            ineg = neg[start:start + COND_BATCH]
             s_pos = np.sum(w_bundle[b] * w_item[ip], axis=1)
             s_neg = np.sum(w_bundle[b] * w_item[ineg], axis=1)
             _, c = bpr_loss(s_pos, s_neg)

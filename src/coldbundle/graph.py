@@ -90,10 +90,24 @@ def membership_matrix(z: InteractionSet, n_bundles: int, n_items: int,
     return sp.csr_matrix((w, (z.rows, z.cols)), shape=(n_bundles, n_items))
 
 
-def aggregate_items(item_rep: np.ndarray, z: InteractionSet, n_bundles: int) -> np.ndarray:
-    """Bundle representation = mean of its member items' representations."""
-    m = membership_matrix(z, n_bundles, item_rep.shape[0])
-    return m @ item_rep
+@dataclass
+class DualView:
+    """A split's user-bundle (train) and user-item graphs and its mean
+    bundle-item aggregation, built once per stage."""
+    gx: BipartiteGraph
+    gy: BipartiteGraph
+    agg: sp.csr_matrix     # (n_bundles, n_items), weight 1/|C_b|
+    agg_t: sp.csr_matrix = field(init=False)
+
+    def __post_init__(self):
+        self.agg_t = self.agg.T.tocsr()
+
+    @classmethod
+    def of(cls, split: ScenarioSplit) -> "DualView":
+        cat = split.catalog
+        return cls(normalize_adjacency(split.train_x, cat.n_users, cat.n_bundles),
+                   normalize_adjacency(split.y, cat.n_users, cat.n_items),
+                   membership_matrix(split.z, cat.n_bundles, cat.n_items))
 
 
 def bpr_loss(scores_pos: np.ndarray, scores_neg: np.ndarray):
@@ -125,11 +139,34 @@ class PriorEmbeddings:
     e_item: np.ndarray
     K: int
 
-    def view_reps(self, gx: BipartiteGraph, gy: BipartiteGraph, z: InteractionSet):
-        ru_b, rb = propagate(gx, self.e_user, self.e_bundle, self.K)
-        ru_i, ri = propagate(gy, self.e_user, self.e_item, self.K)
-        rb_i = aggregate_items(ri, z, self.e_bundle.shape[0])
-        return ru_b, rb, ru_i, ri, rb_i
+    def view_reps(self, view: DualView):
+        """(ru_b, rb, ru_i, ri, rb_i): both views propagated, and each
+        bundle's mean member-item representation."""
+        ru_b, rb = propagate(view.gx, self.e_user, self.e_bundle, self.K)
+        ru_i, ri = propagate(view.gy, self.e_user, self.e_item, self.K)
+        return ru_b, rb, ru_i, ri, view.agg @ ri
+
+
+def stage1_loss_and_grads(view: DualView, emb: PriorEmbeddings, u: np.ndarray,
+                          bp: np.ndarray, bn: np.ndarray):
+    """Summed two-view ranking loss of the (user, positive, negative) rows
+    and its gradients [e_user, e_bundle, e_item], through the adjoints of
+    the aggregation and of propagation."""
+    ru_b, rb, ru_i, _, rb_i = emb.view_reps(view)
+    s_pos = np.sum(ru_b[u] * rb[bp], axis=1) + np.sum(ru_i[u] * rb_i[bp], axis=1)
+    s_neg = np.sum(ru_b[u] * rb[bn], axis=1) + np.sum(ru_i[u] * rb_i[bn], axis=1)
+    loss, c = bpr_loss(s_pos, s_neg)
+    n_users, n_bundles = ru_b.shape[0], rb.shape[0]
+    cw = c[:, None]
+    pn = np.concatenate([bp, bn])
+    g_ru_b = scatter_rows(u, cw * (rb[bp] - rb[bn]), n_users)
+    g_rb = scatter_rows(pn, np.concatenate([cw * ru_b[u], -cw * ru_b[u]]), n_bundles)
+    g_ru_i = scatter_rows(u, cw * (rb_i[bp] - rb_i[bn]), n_users)
+    g_rb_i = scatter_rows(pn, np.concatenate([cw * ru_i[u], -cw * ru_i[u]]), n_bundles)
+    g_ri = view.agg_t @ g_rb_i
+    g_eu_b, g_eb = propagate_backward(view.gx, emb.K, g_ru_b, g_rb)
+    g_eu_i, g_ei = propagate_backward(view.gy, emb.K, g_ru_i, g_ri)
+    return loss, [g_eu_b + g_eu_i, g_eb, g_ei]
 
 
 def _sample_negatives(rng: Rng, users: np.ndarray, candidates: np.ndarray,
@@ -199,10 +236,7 @@ def train_stage1(split: ScenarioSplit, config: Stage1Config):
         e_item=rng.uniform_init((cat.n_items, config.d), config.d),
         K=config.K,
     )
-    gx = normalize_adjacency(split.train_x, cat.n_users, cat.n_bundles)
-    gy = normalize_adjacency(split.y, cat.n_users, cat.n_items)
-    agg = membership_matrix(split.z, cat.n_bundles, cat.n_items)
-    agg_t = agg.T.tocsr()
+    view = DualView.of(split)
 
     positives = PositivesIndex.of(split.train_x, cat.n_users, cat.n_bundles)
     warm_bundles = np.unique(split.train_x.cols)
@@ -227,39 +261,18 @@ def train_stage1(split: ScenarioSplit, config: Stage1Config):
             idx = order[start:start + config.batch_size]
             u, bp = users_all[idx], pos_all[idx]
             bn = neg_all[start:start + config.batch_size]
-
-            ru_b, rb = propagate(gx, emb.e_user, emb.e_bundle, config.K)
-            ru_i, ri = propagate(gy, emb.e_user, emb.e_item, config.K)
-            rb_i = agg @ ri
-
-            s_pos = np.sum(ru_b[u] * rb[bp], axis=1) + np.sum(ru_i[u] * rb_i[bp], axis=1)
-            s_neg = np.sum(ru_b[u] * rb[bn], axis=1) + np.sum(ru_i[u] * rb_i[bn], axis=1)
-            loss, c = bpr_loss(s_pos, s_neg)
+            loss, grads = stage1_loss_and_grads(view, emb, u, bp, bn)
             epoch_loss += loss
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
 
-            cw = c[:, None]
-            pn = np.concatenate([bp, bn])
-            g_ru_b = scatter_rows(u, cw * (rb[bp] - rb[bn]), cat.n_users)
-            g_rb = scatter_rows(pn, np.concatenate([cw * ru_b[u], -cw * ru_b[u]]), cat.n_bundles)
-            g_ru_i = scatter_rows(u, cw * (rb_i[bp] - rb_i[bn]), cat.n_users)
-            g_rb_i = scatter_rows(pn, np.concatenate([cw * ru_i[u], -cw * ru_i[u]]), cat.n_bundles)
-            g_ri = agg_t @ g_rb_i
-
-            g_eu_b, g_eb = propagate_backward(gx, config.K, g_ru_b, g_rb)
-            g_eu_i, g_ei = propagate_backward(gy, config.K, g_ru_i, g_ri)
-            g_eu = g_eu_b + g_eu_i
-
             # Decay only rows that received gradient; untouched entities stay exact.
             masks = [(np.any(g != 0.0, axis=1, keepdims=True)).astype(np.float64)
-                     for g in (g_eu, g_eb, g_ei)]
-            opt.step(params, [g_eu, g_eb, g_ei], decay_masks=masks)
+                     for g in grads]
+            opt.step(params, grads, decay_masks=masks)
 
         history["loss"].append(epoch_loss / max(n_pairs, 1))
-        ru_b, rb = propagate(gx, emb.e_user, emb.e_bundle, config.K)
-        ru_i, ri = propagate(gy, emb.e_user, emb.e_item, config.K)
-        rb_i = agg @ ri
+        ru_b, rb, ru_i, _, rb_i = emb.view_reps(view)
         scores = ru_b @ rb.T + ru_i @ rb_i.T
         val_recall = _recall_at_k(scores, split.train_x, split.val_x)
         history["val_recall"].append(val_recall)

@@ -146,14 +146,6 @@ def two_view_scores(ru_bint: np.ndarray, ru_iint: np.ndarray, fb: np.ndarray,
     return g[:, 0] * s1 + g[:, 1] * s2, vjp
 
 
-def predict(u: int, b: int, x: ExpertOutputs, gp: GateParams) -> float:
-    """Score of one user-bundle pair through both gating layers."""
-    rb_bint, rb_iint, _, _ = fused_tables(x, gp)
-    y, _ = two_view_scores(x.ru_bint[[u]], x.ru_iint[[u]], rb_bint[[b]], rb_iint[[b]],
-                           gp.w_out)
-    return float(y[0])
-
-
 def _score_matrix(x: ExpertOutputs, rb_bint: np.ndarray, rb_iint: np.ndarray,
                   g: np.ndarray | None = None) -> np.ndarray:
     """(n_users, n_bundles) two-view product; g (n_bundles, 2) weights the
@@ -208,7 +200,6 @@ class Stage3Config:
     eta: float = 0.5
     beta_alpha: float = 0.9
     lr: float = 0.02
-    weight_decay: float = 0.0
     epochs: int = 150
     batch_size: int = 4096
     seed: int = 0
@@ -411,7 +402,7 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
 
     # Phase one: view-layer gates, unit output fusion, full epoch budget.
     view_params = [gp.w_bint, gp.w_iint]
-    opt = Adam(view_params, lr=config.lr, weight_decay=config.weight_decay)
+    opt = Adam(view_params, lr=config.lr)
     for epoch in range(config.epochs):
         epoch_loss = 0.0
         for triples in epoch_batches():
@@ -429,7 +420,7 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
     forks = [(gp, n_pseudo)]
     if n_pseudo:
         forks.append((GateParams(gp.w_bint.copy(), gp.w_iint.copy(), gp.w_out.copy()), 0))
-    opts = [Adam([g.w_out], lr=config.lr, weight_decay=config.weight_decay) for g, _ in forks]
+    opts = [Adam([g.w_out], lr=config.lr) for g, _ in forks]
     best = [(-1.0, g.w_out.copy(), -1) for g, _ in forks]
     for epoch in range(config.epochs):
         batches = epoch_batches()

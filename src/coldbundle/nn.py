@@ -48,7 +48,6 @@ def scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarra
 
 _ACTIVATIONS = {
     "silu": (silu, silu_grad),
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
     "identity": (lambda x: x, lambda x: np.ones_like(x)),
 }
 
@@ -72,10 +71,11 @@ class Mlp:
         self.layers = layers
 
     @classmethod
-    def create(cls, dims: list[int], rng, hidden_act: str = "silu") -> "Mlp":
+    def create(cls, dims: list[int], rng) -> "Mlp":
+        """SiLU hidden layers and an identity output layer."""
         layers = []
         for li, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-            act = hidden_act if li < len(dims) - 2 else "identity"
+            act = "silu" if li < len(dims) - 2 else "identity"
             layers.append(Layer(
                 weight=rng.uniform_init((d_out, d_in), d_in),
                 bias=rng.uniform_init(d_out, d_in),

@@ -28,9 +28,8 @@ from . import diffusion as dif
 from . import graph as gr
 from . import moe
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
-from .data import (Catalog, InteractionSet, Kind, Scenario, ScenarioSplit,
-                   load_interactions, load_split, make_split, save_interactions,
-                   save_split, synth_blockmodel)
+from .data import (Catalog, Kind, Scenario, ScenarioSplit, load_interactions, load_split,
+                   make_split, save_interactions, save_split, synth_blockmodel)
 from .errors import ContractError
 from .metrics import MetricReport, evaluate, project_2d
 from .rng import Rng
@@ -129,6 +128,13 @@ def update_manifest(out: Path, cfg: RunConfig, artifacts: dict) -> None:
     _write_json(path, current)
 
 
+def write_catalog(data_dir: Path, catalog: Catalog) -> None:
+    """data/catalog.json: the entity counts of a dense data set."""
+    _write_json(data_dir / "catalog.json", {
+        "n_users": catalog.n_users, "n_bundles": catalog.n_bundles,
+        "n_items": catalog.n_items})
+
+
 def ensure_dataset(cfg: RunConfig, out: Path):
     """Materialize data/ (synthesize or copy-load) and return (catalog, x, y, z)."""
     data_dir = out / "data"
@@ -144,9 +150,7 @@ def ensure_dataset(cfg: RunConfig, out: Path):
         save_interactions(data_dir / "user_bundle.tsv", x)
         save_interactions(data_dir / "user_item.tsv", y)
         save_interactions(data_dir / "bundle_item.tsv", z)
-        _write_json(data_dir / "catalog.json", {
-            "n_users": catalog.n_users, "n_bundles": catalog.n_bundles,
-            "n_items": catalog.n_items})
+        write_catalog(data_dir, catalog)
         update_manifest(out, cfg, {"data": "data"})
         return catalog, x, y, z
     if (src / "catalog.json").exists():
@@ -198,13 +202,6 @@ def run_stage1(cfg: RunConfig, split: ScenarioSplit, out: Path):
     return emb
 
 
-def _view_reps(cfg: RunConfig, split: ScenarioSplit, emb: gr.PriorEmbeddings):
-    cat = split.catalog
-    gx = gr.normalize_adjacency(split.train_x, cat.n_users, cat.n_bundles)
-    gy = gr.normalize_adjacency(split.y, cat.n_users, cat.n_items)
-    return emb.view_reps(gx, gy, split.z)
-
-
 def _denoiser_tensors(prefix: str, den: dif.Denoiser) -> dict:
     out = {}
     for i, layer in enumerate(den.net.layers):
@@ -222,18 +219,16 @@ def _load_priors(cfg: RunConfig, out: Path) -> gr.PriorEmbeddings:
 def run_stage2(cfg: RunConfig, split: ScenarioSplit, out: Path):
     emb = _load_priors(cfg, out)
     cat = split.catalog
-    ru_b, rb, ru_i, ri, rb_i = _view_reps(cfg, split, emb)
+    _, rb, _, ri, _ = emb.view_reps(gr.DualView.of(split))
 
     rng = Rng(cfg.seed).derive("stage2")
     cond = dif.pretrain_conditions(
         split.z, cat.n_bundles, cat.n_items,
-        dif.ConditionConfig(d_c=cfg.d_c, epochs=cfg.cond_epochs, lr=cfg.cond_lr,
-                            seed=cfg.seed),
+        dif.ConditionConfig(d_c=cfg.d_c, epochs=cfg.cond_epochs, lr=cfg.cond_lr),
         rng.derive("cond"))
     s = dif.make_schedule(cfg.schedule, cfg.T)
     dcfg = dif.DiffusionConfig(epochs=cfg.diff_epochs, batch_size=cfg.diff_batch,
-                               lr=cfg.diff_lr, d_time=cfg.d_time,
-                               hidden=cfg.diff_hidden, seed=cfg.seed)
+                               lr=cfg.diff_lr, d_time=cfg.d_time, hidden=cfg.diff_hidden)
 
     warm_b = np.flatnonzero(~split.bundle_bint_cold)
     warm_i = np.flatnonzero(~split.item_cold)
@@ -262,15 +257,14 @@ def build_experts(cfg: RunConfig, split: ScenarioSplit, out: Path) -> moe.Expert
     emb = _load_priors(cfg, out)
     t2 = load_checkpoint(out / "stage2.ckpt", expect_stage="stage2",
                          require=("r_d_bint", "r_d_items")).tensors
-    cat = split.catalog
-    ru_b, rb, ru_i, ri, rb_i = _view_reps(cfg, split, emb)
-    agg = gr.membership_matrix(split.z, cat.n_bundles, cat.n_items)
+    view = gr.DualView.of(split)
+    ru_b, rb, ru_i, ri, _ = emb.view_reps(view)
     bf, itf = moe.cold_features(split)
     return moe.ExpertOutputs(
         ru_bint=ru_b, ru_iint=ru_i,
         r_e_bint=rb, r_d_bint=t2["r_d_bint"],
         r_e_items=ri, r_d_items=t2["r_d_items"],
-        agg=agg, bundle_feature=bf, item_feature=itf)
+        agg=view.agg, bundle_feature=bf, item_feature=itf)
 
 
 def run_stage3(cfg: RunConfig, split: ScenarioSplit, out: Path):

@@ -11,6 +11,7 @@ from coldbundle.data import (
     synth_blockmodel,
 )
 from coldbundle.errors import BoundsError, ContractError, DegenerateSplitError, ParseError
+from oracles import pair_set
 
 
 def _toy(seed=0, n_users=30, n_bundles=12, n_items=40):
@@ -138,16 +139,16 @@ def test_ingest_remap_dense_and_stable(tmp_path):
     assert (cat.n_users, cat.n_bundles, cat.n_items) == (2, 1, 2)
     ub = load_interactions(tmp_path / "out" / "user_bundle.tsv", Kind.USER_BUNDLE, cat)
     # raw user ids 5 < 100 -> dense 0, 1; bundle 7 -> 0
-    assert ub.pair_set() == {(0, 0), (1, 0)}
+    assert pair_set(ub) == {(0, 0), (1, 0)}
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_split_partition_exact(scenario):
     cat, x, y, z = _toy()
     split = make_split(x, y, z, cat, scenario, seed=1)
-    parts = [split.train_x.pair_set(), split.val_x.pair_set(), split.test_x.pair_set()]
+    parts = [pair_set(split.train_x), pair_set(split.val_x), pair_set(split.test_x)]
     union = set().union(*parts)
-    assert union == x.pair_set()
+    assert union == pair_set(x)
     assert sum(len(p) for p in parts) == len(x)  # pairwise disjoint
 
 
@@ -202,7 +203,7 @@ def test_split_save_load_roundtrip(tmp_path):
     save_split(split, tmp_path)
     back = load_split(tmp_path, y, z, cat)
     assert back.scenario is Scenario.COLD_START
-    assert back.train_x.pair_set() == split.train_x.pair_set()
+    assert pair_set(back.train_x) == pair_set(split.train_x)
     np.testing.assert_array_equal(back.bundle_bint_cold, split.bundle_bint_cold)
 
 
@@ -210,8 +211,8 @@ def test_split_determinism():
     cat, x, y, z = _toy()
     a = make_split(x, y, z, cat, Scenario.ALL_BUNDLE, seed=6)
     b = make_split(x, y, z, cat, Scenario.ALL_BUNDLE, seed=6)
-    assert a.train_x.pair_set() == b.train_x.pair_set()
-    assert a.test_x.pair_set() == b.test_x.pair_set()
+    assert pair_set(a.train_x) == pair_set(b.train_x)
+    assert pair_set(a.test_x) == pair_set(b.test_x)
 
 
 def test_split_rejects_bad_input():
@@ -229,7 +230,7 @@ def test_synth_blockmodel_shapes_and_determinism():
     x.check_bounds(cat); y.check_bounds(cat); z.check_bounds(cat)
     assert np.all(z.row_degrees(cat.n_bundles) > 0)
     _, x2, _, _ = synth_blockmodel(50, 80, 20, 4, 6, 0.3, 9)
-    assert x.pair_set() == x2.pair_set()
+    assert pair_set(x) == pair_set(x2)
     with pytest.raises(ContractError):
         synth_blockmodel(10, 10, 5, 1, 3, 0.3, 0)
 
@@ -242,6 +243,6 @@ def test_split_partition_property(seed):
         split = make_split(x, y, z, cat, Scenario.COLD_START, seed=seed)
     except DegenerateSplitError:
         return
-    parts = (split.train_x.pair_set(), split.val_x.pair_set(), split.test_x.pair_set())
-    assert parts[0] | parts[1] | parts[2] == x.pair_set()
+    parts = (pair_set(split.train_x), pair_set(split.val_x), pair_set(split.test_x))
+    assert parts[0] | parts[1] | parts[2] == pair_set(x)
     assert sum(map(len, parts)) == len(x)

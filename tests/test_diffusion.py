@@ -8,7 +8,7 @@ from coldbundle import diffusion
 from coldbundle.data import InteractionSet, Kind
 from coldbundle.diffusion import (
     ConditionConfig, ConditionProvider, DiffusionConfig, build_anchor_index, anchor,
-    denoiser_forward, diffusion_loss, forward_noise, generate_all, implied_noise,
+    denoise_loss_and_grads, denoiser_forward, forward_noise, generate_all, implied_noise,
     make_denoiser, make_schedule, pretrain_conditions, reverse_denoise,
     strided_timesteps, time_embedding, train_diffusion,
 )
@@ -66,6 +66,26 @@ def test_forward_implied_noise_inverse():
         np.testing.assert_allclose(back, eps, atol=1e-12)
 
 
+def test_forward_noise_array_t_equals_scalar_rows():
+    s = make_schedule("cosine", 30)
+    rng = Rng(6)
+    x0, eps = rng.normal((7, 5)), rng.normal((7, 5))
+    t = np.array([1, 30, 12, 12, 2, 29, 7])
+    batch = forward_noise(x0, t, eps, s)
+    for r in range(t.size):
+        assert batch[r].tobytes() == forward_noise(x0[r], int(t[r]), eps[r], s).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0, 31, -4])
+def test_forward_noise_rejects_out_of_range_array_t(bad):
+    s = make_schedule("linear", 30)
+    x0 = np.zeros((3, 2))
+    with pytest.raises(ContractError, match=f"timestep {bad} outside"):
+        forward_noise(x0, np.array([5, bad, 30]), x0, s)
+    with pytest.raises(ContractError, match=f"timestep {bad} outside"):
+        forward_noise(x0[0], bad, x0[0], s)
+
+
 def test_time_embedding_shape_and_range():
     emb = time_embedding([1, 25, 50], 50, dim=16)
     assert emb.shape == (3, 16)
@@ -92,12 +112,9 @@ def test_diffusion_loss_gradcheck():
     eps = rng.normal((4, 3))
 
     def loss_fn():
-        return diffusion_loss(den, reps, conds, t, eps, s)
+        return denoise_loss_and_grads(den, reps, conds, t, eps, s)[0]
 
-    ab = s.alpha_bar[t - 1][:, None]
-    x_t = np.sqrt(ab) * reps + np.sqrt(1.0 - ab) * eps
-    x0_hat, tape = denoiser_forward(den, x_t, conds, t, s)
-    grads, _ = den.net.backward(tape, 2.0 * (x0_hat - reps) / reps.shape[0])
+    _, grads = denoise_loss_and_grads(den, reps, conds, t, eps, s)
     report = finite_diff_check(loss_fn, den.net.params(), grads)
     assert report["max_rel_err"] < 1e-4
 
@@ -109,7 +126,7 @@ def test_training_recovers_one_point_distribution():
     reps = np.tile(target, (32, 1))
     conds = np.zeros((32, 2))
     s = make_schedule("linear", 20)
-    den = train_diffusion(reps, conds, s, DiffusionConfig(epochs=200, lr=3e-3, seed=0),
+    den = train_diffusion(reps, conds, s, DiffusionConfig(epochs=200, lr=3e-3),
                           Rng(0))
     start = rng.normal((1, 4))
     out = reverse_denoise(start, np.zeros((1, 2)), den, s, 10)

@@ -11,9 +11,11 @@ from coldbundle.data import (
 )
 from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.graph import (
-    Stage1Config, _recall_at_k, _sample_negatives, aggregate_items, bpr_loss, membership_matrix,
-    normalize_adjacency, propagate, propagate_backward, train_stage1,
+    DualView, PriorEmbeddings, Stage1Config, _recall_at_k, _sample_negatives, bpr_loss,
+    membership_matrix, normalize_adjacency, propagate, propagate_backward,
+    stage1_loss_and_grads, train_stage1,
 )
+from coldbundle.nn import finite_diff_check
 from coldbundle.rng import Rng
 from samplers_reference import pos_sets_of, sample_negatives_reference
 
@@ -101,8 +103,7 @@ def test_membership_matrix():
     m = membership_matrix(z, 2, 3)
     np.testing.assert_allclose(np.asarray(m.sum(axis=1)).ravel(), [1.0, 1.0])
     item_rep = np.array([[2.0], [4.0], [6.0]])
-    agg = aggregate_items(item_rep, z, 2)
-    np.testing.assert_allclose(agg, [[3.0], [6.0]])
+    np.testing.assert_allclose(m @ item_rep, [[3.0], [6.0]])
     z_empty = InteractionSet.from_pairs(Kind.BUNDLE_ITEM, [0], [0])
     with pytest.raises(ContractError):
         membership_matrix(z_empty, 2, 1)
@@ -126,6 +127,28 @@ def test_bpr_loss_value_and_grad():
 def _tiny_split(seed=0):
     cat, x, y, z = synth_blockmodel(24, 30, 10, 2, 4, 0.5, seed)
     return make_split(x, y, z, cat, Scenario.COLD_START, seed=seed)
+
+
+def test_stage1_loss_and_grads_gradcheck():
+    """The batch loss and gradients train_stage1 steps on, on a real split,
+    with users and bundles repeated within and across the two sides."""
+    split = _tiny_split(0)
+    cat = split.catalog
+    rng = Rng(9)
+    emb = PriorEmbeddings(rng.normal((cat.n_users, 3)), rng.normal((cat.n_bundles, 3)),
+                          rng.normal((cat.n_items, 3)), K=2)
+    view = DualView.of(split)
+    u, bp = split.train_x.rows[:6], split.train_x.cols[:6]
+    u, bp = np.r_[u, u[:3]], np.r_[bp, bp[:3]]
+    bn = np.r_[bp[3:], bp[:3]]
+    assert np.unique(u).size < u.size and np.intersect1d(bp, bn).size
+    params = [emb.e_user, emb.e_bundle, emb.e_item]
+    _, grads = stage1_loss_and_grads(view, emb, u, bp, bn)
+    report = finite_diff_check(lambda: stage1_loss_and_grads(view, emb, u, bp, bn)[0],
+                               params, grads)
+    assert report["max_rel_err"] < 1e-4
+    # cold bundles are outside the user-bundle graph: no gradient reaches them
+    assert not np.any(grads[1][split.bundle_bint_cold])
 
 
 def test_stage1_cold_bundles_keep_init_embedding():

@@ -13,6 +13,7 @@ from coldbundle.metrics import (
     recall_at_k,
 )
 from coldbundle.rng import Rng
+from oracles import pair_set
 
 
 def _oracle_rank(scores, masked):
@@ -58,7 +59,7 @@ def test_rank_candidates_masks_train_and_breaks_ties():
     split = _split()
     cat = split.catalog
     scores = np.zeros((cat.n_users, cat.n_bundles))  # all ties
-    train_pairs = split.train_x.pair_set()
+    train_pairs = pair_set(split.train_x)
     for k in (3, cat.n_bundles):
         order = rank_candidates(scores, split.train_x, k)
         assert order.shape == (cat.n_users, k)
@@ -141,7 +142,7 @@ def _reference_evaluate(scores, split, k):
     """The per-user evaluation loop over the full lexsort ranking."""
     cat = split.catalog
     order = _lexsort_oracle(np.asarray(scores, dtype=np.float64), split.train_x)
-    train_pairs = split.train_x.pair_set()
+    train_pairs = pair_set(split.train_x)
     pos_by_user = [[] for _ in range(cat.n_users)]
     for u, b in zip(split.test_x.rows.tolist(), split.test_x.cols.tolist()):
         pos_by_user[u].append(b)

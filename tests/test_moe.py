@@ -14,7 +14,7 @@ from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.graph import membership_matrix
 from coldbundle.moe import (
     ExpertOutputs, GateParams, Stage3Config, cold_features, fuse, fused_tables,
-    gate_dump_rows, interpolate_pseudo, output_gate, predict,
+    gate_dump_rows, interpolate_pseudo, output_gate,
     sample_pseudo_triples, score_all, score_all_no_diff, score_all_no_moe,
     stage3_loss_and_grads, train_stage3, two_view_scores, view_gate,
 )
@@ -40,6 +40,14 @@ def _tiny(seed=0, d=6):
         item_feature=itf,
     )
     return split, experts
+
+
+def predict(u: int, b: int, x: ExpertOutputs, gp: GateParams) -> float:
+    """Scalar oracle: score of one user-bundle pair through both gating layers."""
+    rb_bint, rb_iint, _, _ = fused_tables(x, gp)
+    y, _ = two_view_scores(x.ru_bint[[u]], x.ru_iint[[u]], rb_bint[[b]], rb_iint[[b]],
+                           gp.w_out)
+    return float(y[0])
 
 
 def test_view_gate_simplex_and_uniform():
