@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .config import RunConfig
 from .data import InteractionSet, Kind, PositivesIndex
 from .errors import ContractError, DivergenceError
 from .graph import _sample_negatives, bpr_loss, membership_matrix
@@ -140,15 +141,6 @@ def denoiser_forward(den: Denoiser, x_t: np.ndarray, cond: np.ndarray,
     return den.net.forward(inp)
 
 
-@dataclass
-class DiffusionConfig:
-    epochs: int = 300
-    batch_size: int = 128
-    lr: float = 1e-3
-    d_time: int = 64
-    hidden: int | None = None
-
-
 def denoise_loss_and_grads(den: Denoiser, x0: np.ndarray, cond: np.ndarray, t,
                            eps: np.ndarray, s: NoiseSchedule):
     """Mean squared x0-prediction error of the rows of x0 noised at steps t
@@ -161,25 +153,23 @@ def denoise_loss_and_grads(den: Denoiser, x0: np.ndarray, cond: np.ndarray, t,
 
 
 def train_diffusion(warm_reps: np.ndarray, conds: np.ndarray, s: NoiseSchedule,
-                    config: DiffusionConfig, rng: Rng,
-                    den: Denoiser | None = None) -> Denoiser:
+                    cfg: RunConfig, rng: Rng) -> Denoiser:
     """Fit x0-prediction on the warm representations.
 
     Per sample and epoch: fresh t ~ Uniform[1, T], eps ~ N(0, I), squared
     error against the clean representation.
     """
     n, d = warm_reps.shape
-    if den is None:
-        den = make_denoiser(d, conds.shape[1], config.d_time, rng.derive("init"),
-                            hidden=config.hidden)
+    den = make_denoiser(d, conds.shape[1], cfg.d_time, rng.derive("init"),
+                        hidden=cfg.diff_hidden)
     params = den.net.params()
-    opt = Adam(params, lr=config.lr)
-    for epoch in range(config.epochs):
+    opt = Adam(params, lr=cfg.diff_lr)
+    for epoch in range(cfg.diff_epochs):
         order = rng.permutation(n)
         ts = rng.integers(n, 1, s.T + 1)
         eps = rng.normal((n, d))
-        for start in range(0, n, config.batch_size):
-            stop = start + config.batch_size
+        for start in range(0, n, cfg.diff_batch):
+            stop = start + cfg.diff_batch
             idx = order[start:stop]
             loss, grads = denoise_loss_and_grads(den, warm_reps[idx], conds[idx],
                                                  ts[start:stop], eps[start:stop], s)
@@ -278,15 +268,8 @@ class ConditionProvider:
     bundle_cond: np.ndarray     # (n_bundles, d_c), mean over member items
 
 
-@dataclass
-class ConditionConfig:
-    d_c: int = 64
-    epochs: int = 30
-    lr: float = 0.05
-
-
 def pretrain_conditions(z: InteractionSet, n_bundles: int, n_items: int,
-                        config: ConditionConfig, rng: Rng) -> ConditionProvider:
+                        cfg: RunConfig, rng: Rng) -> ConditionProvider:
     """Ranking-style matrix factorization on bundle-item membership.
 
     Positive = member item, negative = uniform non-member; the bundle
@@ -295,14 +278,14 @@ def pretrain_conditions(z: InteractionSet, n_bundles: int, n_items: int,
     """
     if len(z) == 0:
         raise ContractError("bundle-item affiliations are empty")
-    d = config.d_c
+    d = cfg.d_c
     w_bundle = rng.uniform_init((n_bundles, d), d)
     w_item = rng.uniform_init((n_items, d), d)
     members = PositivesIndex.of(z, n_bundles, n_items)
     params = [w_bundle, w_item]
-    opt = Adam(params, lr=config.lr)
+    opt = Adam(params, lr=cfg.cond_lr)
     n_pairs = len(z)
-    for _ in range(config.epochs):
+    for _ in range(cfg.cond_epochs):
         order = rng.permutation(n_pairs)
         neg = _sample_negatives(rng, z.rows[order], np.arange(n_items), members)
         for start in range(0, n_pairs, COND_BATCH):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .config import RunConfig
 from .data import InteractionSet, PositivesIndex, ScenarioSplit
 from .errors import ContractError, DegenerateSplitError, DivergenceError
 from .metrics import rank_candidates
@@ -120,18 +121,6 @@ def bpr_loss(scores_pos: np.ndarray, scores_neg: np.ndarray):
 
 
 @dataclass
-class Stage1Config:
-    d: int = 64
-    K: int = 2
-    lr: float = 0.05
-    weight_decay: float = 1e-5
-    epochs: int = 100
-    patience: int = 10
-    batch_size: int = 2048
-    seed: int = 0
-
-
-@dataclass
 class PriorEmbeddings:
     """Initial tables plus derived view representations."""
     e_user: np.ndarray
@@ -221,7 +210,7 @@ def _recall_at_k(scores: np.ndarray, train_x: InteractionSet, eval_x: Interactio
     return float(np.cumsum(hits / n_pos[users])[-1] / users.size)
 
 
-def train_stage1(split: ScenarioSplit, config: Stage1Config):
+def train_stage1(split: ScenarioSplit, cfg: RunConfig):
     """Joint two-view training with the summed ranking loss.
 
     Returns (PriorEmbeddings, history dict).  Only embedding rows touched
@@ -229,12 +218,12 @@ def train_stage1(split: ScenarioSplit, config: Stage1Config):
     training triple keep their initial embeddings exactly.
     """
     cat = split.catalog
-    rng = Rng(config.seed).derive("stage1")
+    rng = Rng(cfg.seed).derive("stage1")
     emb = PriorEmbeddings(
-        e_user=rng.uniform_init((cat.n_users, config.d), config.d),
-        e_bundle=rng.uniform_init((cat.n_bundles, config.d), config.d),
-        e_item=rng.uniform_init((cat.n_items, config.d), config.d),
-        K=config.K,
+        e_user=rng.uniform_init((cat.n_users, cfg.d), cfg.d),
+        e_bundle=rng.uniform_init((cat.n_bundles, cfg.d), cfg.d),
+        e_item=rng.uniform_init((cat.n_items, cfg.d), cfg.d),
+        K=cfg.K,
     )
     view = DualView.of(split)
 
@@ -244,7 +233,7 @@ def train_stage1(split: ScenarioSplit, config: Stage1Config):
         raise ContractError("need at least two train-interacted bundles")
 
     params = [emb.e_user, emb.e_bundle, emb.e_item]
-    opt = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
+    opt = Adam(params, lr=cfg.stage1_lr, weight_decay=cfg.stage1_weight_decay)
     users_all = split.train_x.rows
     pos_all = split.train_x.cols
     n_pairs = users_all.size
@@ -253,14 +242,14 @@ def train_stage1(split: ScenarioSplit, config: Stage1Config):
     history = {"loss": [], "val_recall": []}
     bad_epochs = 0
 
-    for epoch in range(config.epochs):
+    for epoch in range(cfg.stage1_epochs):
         order = rng.permutation(n_pairs)
         neg_all = _sample_negatives(rng, users_all[order], warm_bundles, positives)
         epoch_loss = 0.0
-        for start in range(0, n_pairs, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, n_pairs, cfg.stage1_batch):
+            idx = order[start:start + cfg.stage1_batch]
             u, bp = users_all[idx], pos_all[idx]
-            bn = neg_all[start:start + config.batch_size]
+            bn = neg_all[start:start + cfg.stage1_batch]
             loss, grads = stage1_loss_and_grads(view, emb, u, bp, bn)
             epoch_loss += loss
             if not np.isfinite(loss):
@@ -281,7 +270,7 @@ def train_stage1(split: ScenarioSplit, config: Stage1Config):
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs >= config.patience:
+            if bad_epochs >= cfg.stage1_patience:
                 break
 
     emb.e_user[:], emb.e_bundle[:], emb.e_item[:] = best["params"]

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .config import RunConfig
 from .data import PositivesIndex, ScenarioSplit
 from .errors import ContractError, DegenerateSplitError, DivergenceError
 from .graph import _recall_at_k, _sample_negatives, bpr_loss
@@ -195,16 +196,6 @@ def interpolate_pseudo(x: ExpertOutputs, bx: np.ndarray, by: np.ndarray,
                  for t in (x.r_e_bint, x.r_d_bint, x.r_e_iint_b, x.r_d_iint_b))
 
 
-@dataclass
-class Stage3Config:
-    eta: float = 0.5
-    beta_alpha: float = 0.9
-    lr: float = 0.02
-    epochs: int = 150
-    batch_size: int = 4096
-    seed: int = 0
-
-
 def _gate_grad_from_rep_grads(G, r_e, r_d, w, features):
     """Fold per-entity fused-rep gradients into the (2, 1) gate matrix."""
     p_e = np.sum(G * r_e, axis=1)
@@ -356,7 +347,7 @@ def _output_gate_epoch(x: ExpertOutputs, gp: GateParams, opt: Adam, batches: lis
     return epoch_loss
 
 
-def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
+def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
     """Gate-only training on frozen expert outputs, in two phases.
 
     Phase one fits the two view-layer gates with unit output fusion; phase
@@ -377,7 +368,7 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
     with no pseudo triples (eta 0) the two gate sets are the same object.
     """
     cat = split.catalog
-    rng = Rng(config.seed).derive("stage3")
+    rng = Rng(cfg.seed).derive("stage3")
     gp = GateParams.create(x.d, rng.derive("init"))
     gp.w_out[:] = 0.0
 
@@ -388,8 +379,8 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
     warm_bundles = np.unique(pos_all)
     if warm_bundles.size < 2:
         raise ContractError("need at least two train-interacted bundles")
-    n_pseudo = int(round(config.eta * n_pairs))
-    size = config.batch_size
+    n_pseudo = int(round(cfg.effective_eta * n_pairs))
+    size = cfg.stage3_batch
 
     def epoch_batches() -> list:
         order = rng.permutation(n_pairs)
@@ -402,8 +393,8 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
 
     # Phase one: view-layer gates, unit output fusion, full epoch budget.
     view_params = [gp.w_bint, gp.w_iint]
-    opt = Adam(view_params, lr=config.lr)
-    for epoch in range(config.epochs):
+    opt = Adam(view_params, lr=cfg.stage3_lr)
+    for epoch in range(cfg.stage3_epochs):
         epoch_loss = 0.0
         for triples in epoch_batches():
             loss, grads = _view_phase_loss_and_grads(x, gp, triples)
@@ -420,12 +411,12 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, config: Stage3Config):
     forks = [(gp, n_pseudo)]
     if n_pseudo:
         forks.append((GateParams(gp.w_bint.copy(), gp.w_iint.copy(), gp.w_out.copy()), 0))
-    opts = [Adam([g.w_out], lr=config.lr) for g, _ in forks]
+    opts = [Adam([g.w_out], lr=cfg.stage3_lr) for g, _ in forks]
     best = [(-1.0, g.w_out.copy(), -1) for g, _ in forks]
-    for epoch in range(config.epochs):
+    for epoch in range(cfg.stage3_epochs):
         batches = epoch_batches()
         for k, ((g, count), opt) in enumerate(zip(forks, opts)):
-            pseudo = (sample_pseudo_triples(split, count, config.beta_alpha,
+            pseudo = (sample_pseudo_triples(split, count, cfg.beta_alpha,
                                             rng.derive(f"pseudo:{epoch}"))
                       if count else np.zeros(0, dtype=PSEUDO_DTYPE))
             epoch_loss = _output_gate_epoch(x, g, opt, batches, pseudo, epoch)

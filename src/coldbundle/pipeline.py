@@ -16,10 +16,8 @@ stage n-1 checkpoint.  All steps are bit-reproducible for a fixed config.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +26,7 @@ from . import diffusion as dif
 from . import graph as gr
 from . import moe
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
+from .config import RunConfig
 from .data import (Catalog, Kind, Scenario, ScenarioSplit, load_interactions, load_split,
                    make_split, save_interactions, save_split, synth_blockmodel)
 from .errors import ContractError
@@ -36,79 +35,10 @@ from .rng import Rng
 
 log = logging.getLogger(__name__)
 
-SCENARIO_ETA = {"warm_start": 0.0, "all_bundle": 0.3, "cold_start": 0.5}
-
 # Checkpoint tensor names: the stage-1 tables and the stage-3 gate sets,
 # trained with and then without augmentation, in GateParams order.
 STAGE1_TENSORS = ("e_user", "e_bundle", "e_item")
 GATE_TENSORS = ("w_bint", "w_iint", "w_out", "w_bint_noaug", "w_iint_noaug", "w_out_noaug")
-
-
-@dataclass
-class RunConfig:
-    """Effective configuration; every field is overridable from the CLI."""
-    scenario: str = "cold_start"
-    seed: int = 0
-    data_dir: str | None = None   # dense TSVs; omitted -> synthetic dataset
-    synth_users: int = 400
-    synth_items: int = 800
-    synth_bundles: int = 200
-    synth_groups: int = 4
-    synth_bundle_size: int = 10
-    synth_affinity: float = 0.3
-    d: int = 64                   # embedding size
-    K: int = 2                    # propagation depth
-    T: int = 500                  # diffusion steps
-    T_prime: int = 20             # strided sampling steps
-    schedule: str = "linear"
-    top_n: int = 5                # anchor neighborhood size
-    d_c: int = 64                 # condition dimension
-    d_time: int = 64
-    eta: float | None = None      # pseudo-to-real triple ratio; None -> per-scenario default
-    beta_alpha: float = 0.9
-    stage1_lr: float = 0.05
-    stage1_weight_decay: float = 1e-5
-    stage1_epochs: int = 100
-    stage1_patience: int = 15
-    stage1_batch: int = 512
-    cond_epochs: int = 30
-    cond_lr: float = 0.05
-    diff_epochs: int = 300
-    diff_lr: float = 1e-3
-    diff_batch: int = 128
-    diff_hidden: int | None = None
-    stage3_lr: float = 0.02
-    stage3_epochs: int = 150
-    stage3_batch: int = 4096
-    k_eval: int = 20
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIO_ETA:
-            raise ContractError(f"unknown scenario {self.scenario!r}")
-        if self.schedule not in ("linear", "exp", "cosine"):
-            raise ContractError(f"unknown schedule {self.schedule!r}")
-        for name in ("d", "K", "T", "T_prime", "top_n", "d_c", "d_time", "k_eval"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"config field {name} must be >= 1")
-        if self.eta is not None and self.eta < 0:
-            raise ContractError("eta must be >= 0")
-        if not 0 < self.beta_alpha:
-            raise ContractError("beta_alpha must be positive")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ContractError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @property
-    def effective_eta(self) -> float:
-        return SCENARIO_ETA[self.scenario] if self.eta is None else self.eta
 
 
 def _write_json(path: Path, obj) -> None:
@@ -189,11 +119,7 @@ def ensure_split(cfg: RunConfig, out: Path) -> ScenarioSplit:
 
 
 def run_stage1(cfg: RunConfig, split: ScenarioSplit, out: Path):
-    config = gr.Stage1Config(
-        d=cfg.d, K=cfg.K, lr=cfg.stage1_lr, weight_decay=cfg.stage1_weight_decay,
-        epochs=cfg.stage1_epochs, patience=cfg.stage1_patience,
-        batch_size=cfg.stage1_batch, seed=cfg.seed)
-    emb, history = gr.train_stage1(split, config)
+    emb, history = gr.train_stage1(split, cfg)
     save_checkpoint(out / "stage1.ckpt", "stage1", cfg.to_dict(), {
         "e_user": emb.e_user, "e_bundle": emb.e_bundle, "e_item": emb.e_item})
     update_manifest(out, cfg, {"stage1": "stage1.ckpt"})
@@ -222,21 +148,17 @@ def run_stage2(cfg: RunConfig, split: ScenarioSplit, out: Path):
     _, rb, _, ri, _ = emb.view_reps(gr.DualView.of(split))
 
     rng = Rng(cfg.seed).derive("stage2")
-    cond = dif.pretrain_conditions(
-        split.z, cat.n_bundles, cat.n_items,
-        dif.ConditionConfig(d_c=cfg.d_c, epochs=cfg.cond_epochs, lr=cfg.cond_lr),
-        rng.derive("cond"))
+    cond = dif.pretrain_conditions(split.z, cat.n_bundles, cat.n_items, cfg,
+                                   rng.derive("cond"))
     s = dif.make_schedule(cfg.schedule, cfg.T)
-    dcfg = dif.DiffusionConfig(epochs=cfg.diff_epochs, batch_size=cfg.diff_batch,
-                               lr=cfg.diff_lr, d_time=cfg.d_time, hidden=cfg.diff_hidden)
 
     warm_b = np.flatnonzero(~split.bundle_bint_cold)
     warm_i = np.flatnonzero(~split.item_cold)
     if warm_b.size == 0 or warm_i.size == 0:
         raise ContractError("no warm entities to train the diffusion experts on")
-    den_b = dif.train_diffusion(rb[warm_b], cond.bundle_cond[warm_b], s, dcfg,
+    den_b = dif.train_diffusion(rb[warm_b], cond.bundle_cond[warm_b], s, cfg,
                                 rng.derive("bint"))
-    den_i = dif.train_diffusion(ri[warm_i], cond.item_cond[warm_i], s, dcfg,
+    den_i = dif.train_diffusion(ri[warm_i], cond.item_cond[warm_i], s, cfg,
                                 rng.derive("iint"))
     r_d_bint = dif.generate_all("bint", split.z, cat.n_bundles, cat.n_items,
                                 rb, warm_b, cond, den_b, s, cfg.T_prime, cfg.top_n)
@@ -269,11 +191,8 @@ def build_experts(cfg: RunConfig, split: ScenarioSplit, out: Path) -> moe.Expert
 
 def run_stage3(cfg: RunConfig, split: ScenarioSplit, out: Path):
     experts = build_experts(cfg, split, out)
-    base = moe.Stage3Config(eta=cfg.effective_eta, beta_alpha=cfg.beta_alpha,
-                            lr=cfg.stage3_lr, epochs=cfg.stage3_epochs,
-                            batch_size=cfg.stage3_batch, seed=cfg.seed)
     # gp0: companion gate set trained without augmentation, for the ablation.
-    gp, gp0, _ = moe.train_stage3(split, experts, base)
+    gp, gp0, _ = moe.train_stage3(split, experts, cfg)
     tensors = dict(zip(GATE_TENSORS, gp.params() + gp0.params()))
     tensors.update(experts.tensors())
     save_checkpoint(out / "stage3.ckpt", "stage3", cfg.to_dict(), tensors)

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from coldbundle.cli import main as cli_main
+from coldbundle.config import RunConfig
 from coldbundle.data import (
     InteractionSet, Kind, Scenario, cold_stats, make_split, synth_blockmodel,
 )
 from coldbundle.diffusion import (
-    DiffusionConfig, denoise_loss_and_grads, forward_noise, implied_noise, make_denoiser,
+    denoise_loss_and_grads, forward_noise, implied_noise, make_denoiser,
     make_schedule, reverse_denoise, time_embedding, train_diffusion,
 )
 from coldbundle.errors import DegenerateSplitError
@@ -189,7 +190,7 @@ def test_criterion_3_diffusion_sanity():
     reps = np.tile(target, (32, 1))
     s = make_schedule("linear", 20)
     den = train_diffusion(reps, np.zeros((32, 2)), s,
-                          DiffusionConfig(epochs=200, lr=3e-3), Rng(0))
+                          RunConfig(diff_epochs=200, diff_lr=3e-3), Rng(0))
     out = reverse_denoise(rng.normal((1, 4)), np.zeros((1, 2)), den, s, 10)
     one_point_err = float(np.linalg.norm(out[0] - target) / np.linalg.norm(target))
 
@@ -199,7 +200,7 @@ def test_criterion_3_diffusion_sanity():
     blobs = centers[labels] + sigma * rng.normal((256, 2))
     s2 = make_schedule("linear", 50)
     den2 = train_diffusion(blobs, np.zeros((256, 1)), s2,
-                           DiffusionConfig(epochs=600, lr=3e-3), Rng(1))
+                           RunConfig(diff_epochs=600, diff_lr=3e-3), Rng(1))
     starts = rng.normal((200, 2))
     gen = reverse_denoise(starts, np.zeros((200, 1)), den2, s2, 50)
     dist = np.minimum(np.linalg.norm(gen - centers[0], axis=1),

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from coldbundle import diffusion, graph, metrics, moe
+from coldbundle.config import RunConfig
 from coldbundle.rng import Rng
 from test_diffusion import _view_inputs
 from samplers_reference import pos_sets_of, sample_negatives_reference
@@ -29,7 +30,7 @@ def test_tracer_patches_every_named_function():
     rec.start("t")
     try:
         assert moe.train_stage3 is not original
-        moe.train_stage3(split, x, moe.Stage3Config(eta=0.5, epochs=1, batch_size=16))
+        moe.train_stage3(split, x, RunConfig(eta=0.5, stage3_epochs=1, stage3_batch=16))
     finally:
         rec.stop()
     assert moe.train_stage3 is original
@@ -73,7 +74,7 @@ def test_anchor_search_counts_blocks_and_mlp_spans_record(monkeypatch):
     rec.start("t")
     try:
         den = diffusion.train_diffusion(reps[warm], cond.bundle_cond[warm], s,
-                                        diffusion.DiffusionConfig(epochs=1, d_time=4),
+                                        RunConfig(diff_epochs=1, d_time=4),
                                         rng.derive("den"))
         diffusion.generate_all("bint", z, n_bundles, n_items, reps, warm, cond,
                                den, s, 4, 3)
@@ -91,14 +92,14 @@ def test_stage3_sampler_spans_and_counts():
     triple count is the requested one, and graph.negatives_draws is the
     scalar reference sampler's counter advance."""
     split, x = _tiny()
-    config = moe.Stage3Config(eta=0.5, epochs=2, batch_size=16)
+    config = RunConfig(eta=0.5, stage3_epochs=2, stage3_batch=16)
     n_pairs = len(split.train_x)
     # replay train_stage3's negative stream with the scalar reference
     rng = Rng(config.seed).derive("stage3")
     users, warm = split.train_x.rows, np.unique(split.train_x.cols)
     pos_sets = pos_sets_of(split.train_x, split.catalog.n_users)
     draws = 0
-    for _ in range(2 * config.epochs):
+    for _ in range(2 * config.stage3_epochs):
         order = rng.permutation(n_pairs)
         before = rng._counter
         sample_negatives_reference(rng, users[order], warm, pos_sets)
@@ -110,9 +111,9 @@ def test_stage3_sampler_spans_and_counts():
     finally:
         rec.stop()
     names = [span[0] for span in rec.spans]
-    assert names.count("moe.sample_pseudo_triples") == config.epochs
-    assert names.count("graph.sample_negatives") == 2 * config.epochs
+    assert names.count("moe.sample_pseudo_triples") == config.stage3_epochs
+    assert names.count("graph.sample_negatives") == 2 * config.stage3_epochs
     counts = rec.counts["t"]
-    assert counts["moe.pseudo_triples"] == config.epochs * round(config.eta * n_pairs)
+    assert counts["moe.pseudo_triples"] == config.stage3_epochs * round(config.eta * n_pairs)
     assert counts["graph.negatives_draws"] == draws
-    assert counts["graph.negatives_accepted"] == 2 * config.epochs * n_pairs
+    assert counts["graph.negatives_accepted"] == 2 * config.stage3_epochs * n_pairs

@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from coldbundle import diffusion
+from coldbundle.config import RunConfig
 from coldbundle.data import InteractionSet, Kind
 from coldbundle.diffusion import (
-    ConditionConfig, ConditionProvider, DiffusionConfig, build_anchor_index, anchor,
+    ConditionProvider, build_anchor_index, anchor,
     denoise_loss_and_grads, denoiser_forward, forward_noise, generate_all, implied_noise,
     make_denoiser, make_schedule, pretrain_conditions, reverse_denoise,
     strided_timesteps, time_embedding, train_diffusion,
@@ -126,7 +127,7 @@ def test_training_recovers_one_point_distribution():
     reps = np.tile(target, (32, 1))
     conds = np.zeros((32, 2))
     s = make_schedule("linear", 20)
-    den = train_diffusion(reps, conds, s, DiffusionConfig(epochs=200, lr=3e-3),
+    den = train_diffusion(reps, conds, s, RunConfig(diff_epochs=200, diff_lr=3e-3),
                           Rng(0))
     start = rng.normal((1, 4))
     out = reverse_denoise(start, np.zeros((1, 2)), den, s, 10)
@@ -185,7 +186,7 @@ def test_reverse_denoise_deterministic():
 def test_condition_pretraining_rejects_bundle_with_every_item(time_limit):
     z = InteractionSet.from_pairs(Kind.BUNDLE_ITEM, [0, 0, 0, 1], [0, 1, 2, 0])
     with time_limit(5), pytest.raises(DegenerateSplitError):
-        pretrain_conditions(z, 2, 3, ConditionConfig(d_c=4, epochs=1), Rng(0))
+        pretrain_conditions(z, 2, 3, RunConfig(d_c=4, cond_epochs=1), Rng(0))
 
 
 def _anchor_reference(entity, idx, n):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from coldbundle.config import RunConfig
 from coldbundle.data import (
     InteractionSet, Kind, PositivesIndex, Scenario, make_split, synth_blockmodel,
 )
 from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.graph import (
-    DualView, PriorEmbeddings, Stage1Config, _recall_at_k, _sample_negatives, bpr_loss,
+    DualView, PriorEmbeddings, _recall_at_k, _sample_negatives, bpr_loss,
     membership_matrix, normalize_adjacency, propagate, propagate_backward,
     stage1_loss_and_grads, train_stage1,
 )
@@ -153,7 +154,7 @@ def test_stage1_loss_and_grads_gradcheck():
 
 def test_stage1_cold_bundles_keep_init_embedding():
     split = _tiny_split(1)
-    config = Stage1Config(d=8, K=2, epochs=3, batch_size=64, seed=0)
+    config = RunConfig(d=8, K=2, stage1_epochs=3, stage1_batch=64, stage1_patience=10, seed=0)
     emb, history = train_stage1(split, config)
     # re-create the init tables from the same stream
     rng = Rng(0).derive("stage1")
@@ -170,7 +171,7 @@ def test_stage1_cold_bundles_keep_init_embedding():
 
 def test_stage1_deterministic():
     split = _tiny_split(2)
-    config = Stage1Config(d=8, K=2, epochs=2, batch_size=64, seed=3)
+    config = RunConfig(d=8, K=2, stage1_epochs=2, stage1_batch=64, stage1_patience=10, seed=3)
     a, _ = train_stage1(split, config)
     b, _ = train_stage1(split, config)
     np.testing.assert_array_equal(a.e_user, b.e_user)

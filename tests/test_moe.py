@@ -9,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coldbundle import moe
+from coldbundle.config import RunConfig
 from coldbundle.data import Catalog, InteractionSet, Kind, Scenario, make_split, synth_blockmodel
 from coldbundle.errors import ContractError, DegenerateSplitError
 from coldbundle.graph import membership_matrix
 from coldbundle.moe import (
-    ExpertOutputs, GateParams, Stage3Config, cold_features, fuse, fused_tables,
+    ExpertOutputs, GateParams, cold_features, fuse, fused_tables,
     gate_dump_rows, interpolate_pseudo, output_gate,
     sample_pseudo_triples, score_all, score_all_no_diff, score_all_no_moe,
     stage3_loss_and_grads, train_stage3, two_view_scores, view_gate,
@@ -206,7 +207,7 @@ def test_phase_two_skips_view_gate_gradients_bitwise(monkeypatch):
         assert loss == ref_loss and grads[:2] == [None, None]
         np.testing.assert_array_equal(grads[2], ref_grads[2])
 
-    config = Stage3Config(eta=0.5, epochs=3, batch_size=32, seed=4)
+    config = RunConfig(eta=0.5, stage3_epochs=3, stage3_batch=32, seed=4)
     gp, gp0, history = train_stage3(split, x, config)
     all_gates = moe.stage3_loss_and_grads
     monkeypatch.setattr(moe, "stage3_loss_and_grads",
@@ -338,7 +339,7 @@ def test_stage3_negatives_reject_user_holding_every_bundle(time_limit):
     split, x = _tiny()
     split = _with_train_pairs(split, 0, np.unique(split.train_x.cols))
     with time_limit(5), pytest.raises(DegenerateSplitError):
-        train_stage3(split, x, Stage3Config(eta=0.0, epochs=1, batch_size=16))
+        train_stage3(split, x, RunConfig(eta=0.0, stage3_epochs=1, stage3_batch=16))
 
 
 def test_train_stage3_leaves_experts_frozen():
@@ -347,7 +348,7 @@ def test_train_stage3_leaves_experts_frozen():
         np.ascontiguousarray(t).tobytes() for t in
         (x.ru_bint, x.ru_iint, x.r_e_bint, x.r_d_bint, x.r_e_items, x.r_d_items)
     )).hexdigest()
-    config = Stage3Config(eta=0.5, epochs=3, batch_size=64, seed=0)
+    config = RunConfig(eta=0.5, stage3_epochs=3, stage3_batch=64, seed=0)
     gp, _, history = train_stage3(split, x, config)
     after = hashlib.sha256(b"".join(
         np.ascontiguousarray(t).tobytes() for t in
@@ -360,7 +361,7 @@ def test_train_stage3_leaves_experts_frozen():
 
 def test_train_stage3_deterministic():
     split, x = _tiny()
-    config = Stage3Config(eta=0.5, epochs=2, batch_size=64, seed=1)
+    config = RunConfig(eta=0.5, stage3_epochs=2, stage3_batch=64, seed=1)
     a, a0, _ = train_stage3(split, x, config)
     b, b0, _ = train_stage3(split, x, config)
     for pa, pb in zip(a.params() + a0.params(), b.params() + b0.params()):
@@ -369,7 +370,7 @@ def test_train_stage3_deterministic():
 
 def test_no_aug_fork_matches_separate_eta0_run():
     split, x = _tiny()
-    config = Stage3Config(eta=0.5, epochs=3, batch_size=16, seed=2)
+    config = RunConfig(eta=0.5, stage3_epochs=3, stage3_batch=16, seed=2)
     gp, gp0, _ = train_stage3(split, x, config)
     ref, ref0, _ = train_stage3(split, x, dataclasses.replace(config, eta=0.0))
     assert ref0 is ref
