@@ -10,8 +10,9 @@ Layout of a ``.ckpt`` file:
 The header carries ``{"stage": str, "config": {...}, "payload_sha256": hex,
 "tensors": [{"name", "shape"}, ...]}``.  Saving is byte-deterministic for
 identical inputs; load-then-save round-trips exactly.  Checkpoints and the
-run directory's JSON and CSV reports are written through `atomic_open`, so
-a failed write leaves the previous file as it was.
+run directory's JSON and CSV files are written through `atomic_open`, so
+a failed write leaves the previous file as it was; `write_json` and
+`read_json` are the run directory's one JSON writer and reader.
 """
 
 from __future__ import annotations
@@ -64,6 +65,29 @@ def atomic_open(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as sorted, compact JSON plus a newline, atomically."""
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+
+
+def read_json(path, keys=()) -> dict:
+    """Read a JSON object that holds every one of `keys`; anything else is a
+    ContractError naming the file.  A missing file stays an OSError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise ContractError(f"{path}: unreadable JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ContractError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ContractError(f"{path}: lacks keys {missing}")
+    return obj
 
 
 def save_checkpoint(path, stage: str, config: dict, tensors: dict) -> None:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
 
 from . import pipeline as pl
+from .checkpoint import read_json, write_json
+from .config import field_type
 from .data import cold_stats, ingest_remap
 from .errors import ColdBundleError, ContractError, ParseError
 
@@ -27,21 +28,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """One override flag per config field, defaults shown in --help."""
     for f in dataclasses.fields(pl.RunConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.type in ("int", "int | None"):
-            typ = int
-        elif f.type in ("float", "float | None"):
-            typ = float
-        else:
-            typ = str
-        parser.add_argument(flag, type=typ, default=None,
+        parser.add_argument(flag, type=field_type(f), default=None,
                             help=f"config key {f.name} (default: {f.default})")
 
 
 def _build_config(args) -> pl.RunConfig:
     values = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(json.load(fh))
+        values.update(read_json(args.config))
     for f in dataclasses.fields(pl.RunConfig):
         v = getattr(args, f.name, None)
         if v is not None:
@@ -120,7 +114,7 @@ def run(args) -> int:
     if args.command == "stats":
         stats = cold_stats(split)
         print(_stats_text(stats))
-        pl._write_json(out / "stats.json", stats.to_json_dict())
+        write_json(out / "stats.json", stats.to_json_dict())
         pl.update_manifest(out, cfg, {"stats": "stats.json"})
         return 0
 

@@ -4,11 +4,17 @@ one flag per field, and every checkpoint and report echoes it."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ContractError
 
 SCENARIO_ETA = {"warm_start": 0.0, "all_bundle": 0.3, "cold_start": 0.5}
+
+
+def field_type(f: dataclasses.Field) -> type:
+    """int, float or str: the type a field's annotation names, `| None` aside."""
+    return {"int": int, "float": float}.get(f.type.removesuffix(" | None"), str)
 
 
 @dataclass
@@ -50,17 +56,28 @@ class RunConfig:
     k_eval: int = 20
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith(" | None"):
+                continue
+            typ = field_type(f)
+            accepted = (int, float) if typ is float else typ
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ContractError(f"config field {f.name} must be {f.type}, got {value!r}")
         if self.scenario not in SCENARIO_ETA:
             raise ContractError(f"unknown scenario {self.scenario!r}")
         if self.schedule not in ("linear", "exp", "cosine"):
             raise ContractError(f"unknown schedule {self.schedule!r}")
-        for name in ("d", "K", "T", "T_prime", "top_n", "d_c", "d_time", "k_eval"):
+        for name in ("d", "K", "T", "T_prime", "top_n", "d_c", "d_time", "k_eval",
+                     "stage1_batch", "diff_batch", "stage3_batch"):
             if getattr(self, name) < 1:
                 raise ContractError(f"config field {name} must be >= 1")
-        if self.eta is not None and self.eta < 0:
-            raise ContractError("eta must be >= 0")
-        if not 0 < self.beta_alpha:
-            raise ContractError("beta_alpha must be positive")
+        if self.eta is not None and not 0 <= self.eta < math.inf:
+            raise ContractError("eta must be finite and >= 0")
+        # Johnk's beta sampler accepts a draw with probability
+        # G(a+1)^2 / G(2a+1): at least 1/2 for a <= 1, 1/184,756 at a = 10.
+        if not 0 < self.beta_alpha <= 1:
+            raise ContractError("beta_alpha must be in (0, 1]")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":

@@ -8,7 +8,6 @@ produces dense ids plus an ``idmap.tsv`` sidecar.
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import read_json, write_json
 from .errors import BoundsError, ContractError, DegenerateSplitError, ParseError
 from .rng import Rng
 
@@ -412,15 +412,15 @@ def save_split(split: ScenarioSplit, out_dir) -> None:
         "bint_cold": np.flatnonzero(split.bundle_bint_cold).tolist(),
         "item_cold": np.flatnonzero(split.item_cold).tolist(),
     }
-    with open(out_dir / "labels.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(labels, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(out_dir / "labels.json", labels)
 
 
 def load_split(split_dir, y: InteractionSet, z: InteractionSet, catalog: Catalog) -> ScenarioSplit:
     split_dir = Path(split_dir)
-    with open(split_dir / "labels.json", "r", encoding="utf-8") as fh:
-        labels = json.load(fh)
+    path = split_dir / "labels.json"
+    labels = read_json(path, ("scenario",))
+    if labels["scenario"] not in [s.value for s in Scenario]:
+        raise ContractError(f"{path}: unknown scenario {labels['scenario']!r}")
     split = ScenarioSplit(
         scenario=Scenario(labels["scenario"]),
         catalog=catalog,

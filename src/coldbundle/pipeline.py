@@ -16,7 +16,6 @@ stage n-1 checkpoint.  All steps are bit-reproducible for a fixed config.
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 from . import diffusion as dif
 from . import graph as gr
 from . import moe
-from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, read_json, save_checkpoint, write_json
 from .config import RunConfig
 from .data import (Catalog, Kind, Scenario, ScenarioSplit, load_interactions, load_split,
                    make_split, save_interactions, save_split, synth_blockmodel)
@@ -35,34 +34,26 @@ from .rng import Rng
 
 log = logging.getLogger(__name__)
 
+# data/catalog.json: the entity counts of a dense data set.
+CATALOG_KEYS = ("n_users", "n_bundles", "n_items")
+
 # Checkpoint tensor names: the stage-1 tables and the stage-3 gate sets,
 # trained with and then without augmentation, in GateParams order.
 STAGE1_TENSORS = ("e_user", "e_bundle", "e_item")
 GATE_TENSORS = ("w_bint", "w_iint", "w_out", "w_bint_noaug", "w_iint_noaug", "w_out_noaug")
 
 
-def _write_json(path: Path, obj) -> None:
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
 def update_manifest(out: Path, cfg: RunConfig, artifacts: dict) -> None:
     path = out / "manifest.json"
-    current = {"artifacts": {}}
-    if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            current = json.load(fh)
+    current = read_json(path) if path.exists() else {"artifacts": {}}
     current["config"] = cfg.to_dict()
     current.setdefault("artifacts", {}).update(artifacts)
-    _write_json(path, current)
+    write_json(path, current)
 
 
 def write_catalog(data_dir: Path, catalog: Catalog) -> None:
-    """data/catalog.json: the entity counts of a dense data set."""
-    _write_json(data_dir / "catalog.json", {
-        "n_users": catalog.n_users, "n_bundles": catalog.n_bundles,
-        "n_items": catalog.n_items})
+    write_json(data_dir / "catalog.json",
+               {key: getattr(catalog, key) for key in CATALOG_KEYS})
 
 
 def ensure_dataset(cfg: RunConfig, out: Path):
@@ -84,9 +75,11 @@ def ensure_dataset(cfg: RunConfig, out: Path):
         update_manifest(out, cfg, {"data": "data"})
         return catalog, x, y, z
     if (src / "catalog.json").exists():
-        with open(src / "catalog.json", "r", encoding="utf-8") as fh:
-            c = json.load(fh)
-        catalog = Catalog(c["n_users"], c["n_bundles"], c["n_items"])
+        catalog_json = read_json(src / "catalog.json", CATALOG_KEYS)
+        counts = [catalog_json[key] for key in CATALOG_KEYS]
+        if not all(type(n) is int for n in counts):
+            raise ContractError(f"{src / 'catalog.json'}: counts must be integers, got {counts}")
+        catalog = Catalog(*counts)
     else:
         catalog = None
     x = load_interactions(src / "user_bundle.tsv", Kind.USER_BUNDLE)
@@ -235,7 +228,7 @@ def run_eval(cfg: RunConfig, split: ScenarioSplit, out: Path,
     payload = report.to_json_dict()
     payload["config"] = cfg.to_dict()
     payload["ablation"] = {"no_aug": no_aug, "no_moe": no_moe, "no_diff": no_diff}
-    _write_json(out / fname, payload)
+    write_json(out / fname, payload)
     update_manifest(out, cfg, {fname: fname})
     return report
 

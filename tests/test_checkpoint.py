@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from coldbundle import checkpoint
-from coldbundle.checkpoint import load_checkpoint, save_checkpoint
+from coldbundle.checkpoint import load_checkpoint, save_checkpoint, write_json
 from coldbundle.errors import ContractError, OrderingError
-from coldbundle.pipeline import _write_json
 from coldbundle.rng import Rng
 
 
@@ -119,12 +118,12 @@ class _FailingWrites:
 def test_failed_writes_leave_previous_file(tmp_path, monkeypatch):
     ckpt, report = tmp_path / "x.ckpt", tmp_path / "metrics.json"
     save_checkpoint(ckpt, "stage1", {"seed": 1}, {"a": np.arange(4.0)})
-    _write_json(report, {"recall": 0.5})
+    write_json(report, {"recall": 0.5})
     before = {path: path.read_bytes() for path in (ckpt, report)}
 
     # json.dump streams chunks, so the temp file is part-written when it raises.
     with pytest.raises(TypeError):
-        _write_json(report, {"recall": 0.25, "z": object()})
+        write_json(report, {"recall": 0.25, "z": object()})
     monkeypatch.setattr(checkpoint, "open",
                         lambda *a, **kw: _FailingWrites(open(*a, **kw)), raising=False)
     with pytest.raises(OSError, match="no space"):

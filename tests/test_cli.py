@@ -120,3 +120,69 @@ def test_checkpoint_missing_tensor_exits_2(trained, capsys):
     finally:
         ckpt.write_bytes(original)
     assert "w_out_noaug" in capsys.readouterr().err
+
+
+BAD_CONFIG = [
+    ("--stage1-batch", "0"), ("--diff-batch", "0"), ("--stage3-batch", "0"),
+    ("--stage3-batch", "-5"), ("--eta", "nan"), ("--eta", "inf"),
+    ("--beta-alpha", "inf"), ("--beta-alpha", "20"), ("--beta-alpha", "nan"),
+    ("--config", '{"d": "x"}'), ("--config", '{"d": 1.5}'), ("--config", '{"d": true}'),
+    ("--config", '{"seed": null}'), ("--config", '{"eta": "0.5"}'),
+    ("--config", '{"scenario": 3}'),
+]
+
+
+@pytest.mark.parametrize("flag,value", BAD_CONFIG)
+def test_bad_config_value_exits_2(tmp_path, capsys, time_limit, flag, value):
+    """Values that used to crash or hang a stage are refused up front."""
+    if flag == "--config":
+        # The file alone: MICRO's --d would override its value.
+        (tmp_path / "cfg.json").write_text(value)
+        args = ["--out", str(tmp_path / "o"), "--config", str(tmp_path / "cfg.json")]
+    else:
+        args = ["--out", str(tmp_path / "o"), *MICRO, flag, value]
+    with time_limit(30):
+        rc = main([*args, "train", "all"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+def _truncate_labels(out):
+    path = out / "split" / "labels.json"
+    path.write_text(path.read_text()[:-5])
+
+
+def _edit_json(path, **changes):
+    """Rewrite a run-directory JSON file; a value None drops its key."""
+    def damage(out):
+        obj = json.loads((out / path).read_text())
+        obj.update(changes)
+        (out / path).write_text(json.dumps({k: v for k, v in obj.items() if v is not None}))
+    return damage
+
+
+@pytest.mark.parametrize("damage,needle", [
+    (_truncate_labels, "labels.json"),
+    (_edit_json("split/labels.json", scenario="nope"), "nope"),
+    (_edit_json("data/catalog.json", n_bundles=None), "n_bundles"),
+    (_edit_json("data/catalog.json", n_bundles="12"), "catalog.json"),
+])
+def test_damaged_run_directory_json_exits_2(tmp_path, capsys, time_limit, damage, needle):
+    out = tmp_path / "o"
+    assert _run(out, "split") == 0
+    damage(out)
+    capsys.readouterr()
+    with time_limit(30):
+        assert _run(out, "stats") == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ['{"seed": 3,', "[1]"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["--out", str(tmp_path / "o"), "--config", str(cfg), "synth"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "cfg.json" in err

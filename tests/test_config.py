@@ -1,0 +1,16 @@
+"""RunConfig: the type and bound checks admit every value they should."""
+
+import dataclasses
+
+from coldbundle.config import RunConfig
+
+
+def test_annotated_types_accepted():
+    cfg = RunConfig(eta=1, synth_affinity=1, diff_hidden=None, data_dir=None)
+    assert cfg.effective_eta == 1
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_bounds_admit_their_edges():
+    cfg = RunConfig(stage1_batch=1, diff_batch=1, stage3_batch=1, eta=0.0, beta_alpha=1.0)
+    assert dataclasses.replace(cfg, eta=None).effective_eta == 0.5

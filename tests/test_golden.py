@@ -2,7 +2,9 @@
 
 A small config is trained through `coldbundle train all` and evaluated with
 `--k-eval` below the bundle count, so the top-k partition of the ranking
-kernel and the stage-3 pseudo-triple sampler both run.  The three
+kernel and the stage-3 pseudo-triple sampler both run.  It runs in each
+scenario: `cold_start` (eta 0.5), `all_bundle` (eta 0.3) and `warm_start`
+(eta 0, one gate set).  The three
 checkpoint payload sha256 values and the sha256 of `metrics.json` without
 its `config` entry must equal the constants below.
 
@@ -15,6 +17,8 @@ refactors used to rely on.
 
 import hashlib
 import json
+
+import pytest
 
 from coldbundle.cli import main
 
@@ -30,6 +34,21 @@ EXPECTED = {
     "stage2": "6204d574ac4fee22d9fca1a94535827b9b097dbc7c200af4e0676096a2416340",
     "stage3": "38fab4ca174af086d8391eab2ae4627c8623d174850916842ebdf0aacd8d0940",
     "metrics": "aa93780dc092c6e02f75bfa9e08072763944132a083dc27b03ce743d0b5a6d30",
+}
+
+EXPECTED_SCENARIOS = {
+    "all_bundle": {
+        "stage1": "f70eaf223615810fef280ad4c391c38df93b21ba7c74f4bd0819fce8f42ead72",
+        "stage2": "e65b03edcccd1dd1981cdb1d57b1741b476998a808f9c4c37731e0487df2694d",
+        "stage3": "91f213016d46dafd70b839a49362bb1c4c4baf1ebf7b637990e27fdfdeac5acb",
+        "metrics": "fd92417e9946185748b01cc0396341b5313d36f8a8352cd8ac2bd6f29b259b23",
+    },
+    "warm_start": {
+        "stage1": "7537d8df2c7aa30a34be7aeade3385d1b08f97b506485b218afec5900d15927b",
+        "stage2": "f61f9fc9fc1dfcee841b52a3e816b80462b11cbbbfec76bd100bd20948cb5ec7",
+        "stage3": "c29fdc482ca47e41aef19a468ccb803139dcf860b0ec521de5508898e9636d38",
+        "metrics": "73ed50164aa506e520184b5ca8bf7214070ed7b87696ac32672c7fb0553d883f",
+    },
 }
 
 
@@ -53,3 +72,11 @@ def test_golden_training_is_byte_identical(tmp_path):
     assert main(["--out", str(tmp_path), *GOLDEN, "train", "all"]) == 0
     assert main(["--out", str(tmp_path), *GOLDEN, "eval"]) == 0
     assert fingerprint(tmp_path) == EXPECTED
+
+
+@pytest.mark.parametrize("scenario", sorted(EXPECTED_SCENARIOS))
+def test_golden_scenario_training_is_byte_identical(tmp_path, scenario):
+    flags = [*GOLDEN, "--scenario", scenario]
+    assert main(["--out", str(tmp_path), *flags, "train", "all"]) == 0
+    assert main(["--out", str(tmp_path), *flags, "eval"]) == 0
+    assert fingerprint(tmp_path) == EXPECTED_SCENARIOS[scenario]

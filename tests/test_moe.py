@@ -192,6 +192,20 @@ def test_stage3_gradcheck_all_gates():
     assert report["max_rel_err"] < 1e-4
 
 
+def test_view_phase_gradcheck():
+    """Phase one steps on the unit-fusion loss; its two view-gate gradients
+    match central differences."""
+    split, x = _tiny(d=4)
+    gp = GateParams.create(x.d, Rng(6))
+    u = split.train_x.rows[:6]
+    bp = split.train_x.cols[:6]
+    triples = (u, bp, np.roll(bp, 1))
+    _, grads = moe._view_phase_loss_and_grads(x, gp, triples)
+    report = finite_diff_check(lambda: moe._view_phase_loss_and_grads(x, gp, triples)[0],
+                               [gp.w_bint, gp.w_iint], grads)
+    assert report["max_rel_err"] < 1e-4
+
+
 def test_phase_two_skips_view_gate_gradients_bitwise(monkeypatch):
     """Phase two asks for the w_out gradient alone; the loss, that gradient,
     the trained w_out and the phase-two history equal those of the
