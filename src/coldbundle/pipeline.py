@@ -45,9 +45,11 @@ GATE_TENSORS = ("w_bint", "w_iint", "w_out", "w_bint_noaug", "w_iint_noaug", "w_
 
 def update_manifest(out: Path, cfg: RunConfig, artifacts: dict) -> None:
     path = out / "manifest.json"
-    current = read_json(path) if path.exists() else {"artifacts": {}}
+    current = read_json(path) if path.exists() else {}
+    if not isinstance(current.setdefault("artifacts", {}), dict):
+        raise ContractError(f"{path}: artifacts is not a JSON object")
     current["config"] = cfg.to_dict()
-    current.setdefault("artifacts", {}).update(artifacts)
+    current["artifacts"].update(artifacts)
     write_json(path, current)
 
 
