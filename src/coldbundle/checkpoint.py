@@ -10,8 +10,8 @@ Layout of a ``.ckpt`` file:
 The header carries ``{"stage": str, "config": {...}, "payload_sha256": hex,
 "tensors": [{"name", "shape"}, ...]}``.  Saving is byte-deterministic for
 identical inputs; load-then-save round-trips exactly.  Checkpoints and the
-run directory's JSON and CSV files are written through `atomic_open`, so
-a failed write leaves the previous file as it was; `write_json` and
+run directory's JSON, CSV and TSV files are written through `atomic_open`,
+so a failed write leaves the previous file as it was; `write_json` and
 `read_json` are the run directory's one JSON writer and reader.
 """
 

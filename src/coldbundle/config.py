@@ -72,6 +72,9 @@ class RunConfig:
                      "stage1_batch", "diff_batch", "stage3_batch"):
             if getattr(self, name) < 1:
                 raise ContractError(f"config field {name} must be >= 1")
+        for name in ("stage1_lr", "cond_lr", "diff_lr", "stage3_lr", "stage1_weight_decay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ContractError(f"config field {name} must be finite and >= 0")
         if self.eta is not None and not 0 <= self.eta < math.inf:
             raise ContractError("eta must be finite and >= 0")
         # Johnk's beta sampler accepts a draw with probability

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_json, write_json
+from .checkpoint import atomic_open, read_json, write_json
 from .errors import BoundsError, ContractError, DegenerateSplitError, ParseError
 from .rng import Rng
 
@@ -64,13 +64,17 @@ class InteractionSet:
         cols = np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape:
             raise ContractError("row/col arrays differ in length")
-        if rows.size:
-            order = np.lexsort((cols, rows))
-            rows, cols = rows[order], cols[order]
-            keep = np.ones(rows.size, dtype=bool)
-            keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            rows, cols = rows[keep], cols[keep]
-        return cls(kind, rows, cols)
+        # Keys already strictly ascending (every file the program writes)
+        # need neither the sort nor the dedup; copies keep the set's arrays
+        # its own and contiguous, as the sorting path's are.
+        ascending = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
+        if ascending.all():
+            return cls(kind, rows.copy(), cols.copy())
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        keep = np.ones(rows.size, dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        return cls(kind, rows[keep], cols[keep])
 
     def __len__(self) -> int:
         return int(self.rows.size)
@@ -205,7 +209,7 @@ def load_interactions(path, kind: Kind, catalog: Catalog | None = None) -> Inter
 
 
 def save_interactions(path, interactions: InteractionSet) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r, c in zip(interactions.rows.tolist(), interactions.cols.tolist()):
             fh.write(f"{r}\t{c}\n")
 
@@ -231,12 +235,12 @@ def ingest_remap(raw_dir, out_dir) -> Catalog:
         seen[row_cls].update(rows)
         seen[col_cls].update(cols)
     remap = {cls: {raw: dense for dense, raw in enumerate(sorted(ids))} for cls, ids in seen.items()}
-    with open(out_dir / "idmap.tsv", "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(out_dir / "idmap.tsv", "w", encoding="utf-8", newline="\n") as fh:
         for cls in ("user", "bundle", "item"):
             for raw, dense in sorted(remap[cls].items()):
                 fh.write(f"{cls}\t{raw}\t{dense}\n")
     for fname, (row_cls, col_cls) in files.items():
-        with open(out_dir / fname, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(out_dir / fname, "w", encoding="utf-8", newline="\n") as fh:
             for r, c in raw_pairs[fname]:
                 fh.write(f"{remap[row_cls][r]}\t{remap[col_cls][c]}\n")
     return Catalog(len(seen["user"]) or 1, len(seen["bundle"]) or 1, len(seen["item"]) or 1)

@@ -16,23 +16,36 @@ from .errors import ContractError, DivergenceError, ShapeError
 
 def _sigmoid(x):
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) otherwise, without
-    boolean-mask gathers.  min(x, -x) is -|x| and keeps a NaN's sign."""
+    boolean-mask gathers.  min(x, -x) is -|x| and keeps a NaN's sign.
+
+    With e = e^-|x|, the numerator is 1 where x >= 0 and e elsewhere; as
+    0 <= e <= 1, that is max(e, x >= 0), and a NaN e stays as it is.  The
+    max is a branch-free select, where a masked divide branches on the
+    sign of every element."""
     e = np.negative(x)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
     d = e + 1.0
+    np.maximum(e, x >= 0, out=e)
     e /= d
-    np.divide(1.0, d, out=e, where=x >= 0)
     return e
 
 
 def silu(x):
-    return x * _sigmoid(x)
+    s = _sigmoid(x)
+    s *= x
+    return s
 
 
 def silu_grad(x):
+    """s (1 + x (1 - s)) for s = sigmoid(x), built in one buffer in the
+    expression's operation order."""
     s = _sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
+    g = np.subtract(1.0, s)
+    g *= x
+    g += 1.0
+    g *= s
+    return g
 
 
 def scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -46,9 +59,11 @@ def scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarra
     return np.bincount(flat, weights=values.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
+# name -> (activation, its derivative); the identity's derivative is None,
+# as backward passes the gradient through unscaled.
 _ACTIVATIONS = {
     "silu": (silu, silu_grad),
-    "identity": (lambda x: x, lambda x: np.ones_like(x)),
+    "identity": (lambda x: x, None),
 }
 
 
@@ -107,7 +122,8 @@ class Mlp:
         tape = [x]
         h = x
         for layer in self.layers:
-            pre = h @ layer.weight.T + layer.bias
+            pre = h @ layer.weight.T
+            pre += layer.bias
             h = _ACTIVATIONS[layer.act][0](pre)
             tape.extend([pre, h])
         return h, tape
@@ -125,7 +141,11 @@ class Mlp:
             layer = self.layers[li]
             pre = tape[2 * li + 1]
             inp = tape[2 * li]
-            g = g * _ACTIVATIONS[layer.act][1](pre)
+            act_grad = _ACTIVATIONS[layer.act][1]
+            if act_grad is not None:
+                local = act_grad(pre)
+                local *= g
+                g = local
             param_grads[2 * li] = g.T @ inp
             param_grads[2 * li + 1] = g.sum(axis=0)
             g = g @ layer.weight

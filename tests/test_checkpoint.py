@@ -8,6 +8,7 @@ import pytest
 
 from coldbundle import checkpoint
 from coldbundle.checkpoint import load_checkpoint, save_checkpoint, write_json
+from coldbundle.data import InteractionSet, Kind, ingest_remap, save_interactions
 from coldbundle.errors import ContractError, OrderingError
 from coldbundle.rng import Rng
 
@@ -116,10 +117,17 @@ class _FailingWrites:
 
 
 def test_failed_writes_leave_previous_file(tmp_path, monkeypatch):
-    ckpt, report = tmp_path / "x.ckpt", tmp_path / "metrics.json"
+    ckpt, report, tsv = tmp_path / "x.ckpt", tmp_path / "metrics.json", tmp_path / "train.tsv"
     save_checkpoint(ckpt, "stage1", {"seed": 1}, {"a": np.arange(4.0)})
     write_json(report, {"recall": 0.5})
-    before = {path: path.read_bytes() for path in (ckpt, report)}
+    save_interactions(tsv, InteractionSet.from_pairs(Kind.USER_BUNDLE, [0, 1, 2, 3], [1, 2, 3, 0]))
+    raw, dense = tmp_path / "raw", tmp_path / "dense"
+    raw.mkdir()
+    for name in ("user_bundle.tsv", "user_item.tsv", "bundle_item.tsv"):
+        (raw / name).write_text("10\t20\n30\t40\n50\t60\n")
+    ingest_remap(raw, dense)
+    written = [ckpt, report, tsv, *sorted(dense.iterdir())]
+    before = {path: path.read_bytes() for path in written}
 
     # json.dump streams chunks, so the temp file is part-written when it raises.
     with pytest.raises(TypeError):
@@ -128,6 +136,22 @@ def test_failed_writes_leave_previous_file(tmp_path, monkeypatch):
                         lambda *a, **kw: _FailingWrites(open(*a, **kw)), raising=False)
     with pytest.raises(OSError, match="no space"):
         save_checkpoint(ckpt, "stage1", {"seed": 2}, {"a": np.ones(4)})
+    with pytest.raises(OSError, match="no space"):
+        save_interactions(tsv, InteractionSet.from_pairs(Kind.USER_BUNDLE, [5, 6, 7, 8], [0, 0, 0, 0]))
+    (raw / "user_item.tsv").write_text("11\t15\n")  # new ids: every output file changes
+    with pytest.raises(OSError, match="no space"):
+        ingest_remap(raw, dense)  # in idmap.tsv, the first file it writes
 
-    assert {path: path.read_bytes() for path in (ckpt, report)} == before
-    assert sorted(os.listdir(tmp_path)) == ["metrics.json", "x.ckpt"]
+    assert {path: path.read_bytes() for path in written} == before
+    assert sorted(os.listdir(tmp_path)) == ["dense", "metrics.json", "raw", "train.tsv", "x.ckpt"]
+
+    # Only the last dense TSV fails: the files before it are replaced whole.
+    monkeypatch.setattr(checkpoint, "open", lambda path, *a, **kw: (
+        _FailingWrites(open(path, *a, **kw)) if "bundle_item" in str(path)
+        else open(path, *a, **kw)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        ingest_remap(raw, dense)
+    assert [path for path in written if path.read_bytes() != before[path]] == [
+        dense / "idmap.tsv", dense / "user_bundle.tsv", dense / "user_item.tsv"]
+    assert sorted(os.listdir(dense)) == ["bundle_item.tsv", "idmap.tsv", "user_bundle.tsv",
+                                         "user_item.tsv"]

@@ -126,6 +126,9 @@ BAD_CONFIG = [
     ("--stage1-batch", "0"), ("--diff-batch", "0"), ("--stage3-batch", "0"),
     ("--stage3-batch", "-5"), ("--eta", "nan"), ("--eta", "inf"),
     ("--beta-alpha", "inf"), ("--beta-alpha", "20"), ("--beta-alpha", "nan"),
+    ("--stage1-lr", "nan"), ("--stage1-lr", "-0.5"), ("--cond-lr", "inf"),
+    ("--diff-lr", "nan"), ("--stage3-lr", "-0.5"), ("--stage1-weight-decay", "nan"),
+    ("--stage1-weight-decay", "-0.5"),
     ("--config", '{"d": "x"}'), ("--config", '{"d": 1.5}'), ("--config", '{"d": true}'),
     ("--config", '{"seed": null}'), ("--config", '{"eta": "0.5"}'),
     ("--config", '{"scenario": 3}'), ("--config", '{"seed": 3,'), ("--config", "[1]"),
@@ -134,8 +137,9 @@ BAD_CONFIG = [
 
 @pytest.mark.parametrize("flag,value", BAD_CONFIG)
 def test_bad_config_value_exits_2(tmp_path, capsys, time_limit, flag, value):
-    """Values that used to crash or hang a stage, and config files that are
-    not a JSON object, are refused up front."""
+    """Values that used to crash or hang a stage, or fail it with an error
+    that names no setting, and config files that are not a JSON object,
+    are refused up front; a refused flag's field is named."""
     if flag == "--config":
         # The file alone: MICRO's --d would override its value.
         (tmp_path / "cfg.json").write_text(value)
@@ -147,6 +151,8 @@ def test_bad_config_value_exits_2(tmp_path, capsys, time_limit, flag, value):
     err = capsys.readouterr().err
     assert rc == 2
     assert "error:" in err and "Traceback" not in err
+    if flag != "--config":
+        assert flag[2:].replace("-", "_") in err
 
 
 def _truncate_labels(out):

@@ -26,6 +26,47 @@ def test_from_pairs_dedup_and_order():
     assert s.cols.tolist() == [3, 0, 1]
 
 
+def _sorted_pairs(rows, cols):
+    """The lexsort-and-dedup path, applied to every input."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    keep = np.ones(rows.size, dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    return rows[keep], cols[keep]
+
+
+def test_from_pairs_skips_sort_only_for_strictly_ascending_keys():
+    """Sorted, shuffled and duplicated inputs give the sorting path's
+    arrays; a sorted input's arrays are copies, contiguous like the sorting
+    path's."""
+    _, x, _, _ = _toy(5)
+    rng = np.random.default_rng(0)
+    perm = rng.permutation(len(x))
+    dup = np.sort(np.r_[np.arange(len(x)), rng.integers(0, len(x), 20)])
+    flat = np.stack([x.rows, x.cols], axis=1).ravel()
+    cases = [
+        (x.rows, x.cols),                    # strictly ascending
+        (flat[0::2], flat[1::2]),            # ascending, strided like a parsed TSV
+        (x.rows[perm], x.cols[perm]),        # shuffled
+        (x.rows[dup], x.cols[dup]),          # ascending with repeats
+        (x.rows[::-1], x.cols[::-1]),        # descending
+        ([0, 0, 1], [2, 1, 0]),              # rows ascending, one column step down
+        ([3, 1], [0, 5]), ([4], [4]), ([], []),
+    ]
+    for rows, cols in cases:
+        got = InteractionSet.from_pairs(Kind.USER_BUNDLE, rows, cols)
+        want_rows, want_cols = _sorted_pairs(rows, cols)
+        assert got.rows.dtype == got.cols.dtype == np.int64
+        np.testing.assert_array_equal(got.rows, want_rows)
+        np.testing.assert_array_equal(got.cols, want_cols)
+        assert got.rows.flags.c_contiguous and got.cols.flags.c_contiguous
+        for arr in (rows, cols):
+            if isinstance(arr, np.ndarray):
+                assert not np.shares_memory(got.rows, arr)
+                assert not np.shares_memory(got.cols, arr)
+
+
 def test_check_bounds():
     cat = Catalog(2, 2, 2)
     s = InteractionSet.from_pairs(Kind.USER_BUNDLE, [0, 1], [0, 5])

@@ -28,13 +28,80 @@ def _masked_sigmoid(x):
 
 
 def test_sigmoid_equals_masked_reference_bitwise():
-    special = np.array([0.0, -0.0, 1e4, -1e4, np.inf, -np.inf, np.nan, -np.nan,
-                        1.0, -1.0, 709.0, -745.0, 5e-324, -5e-324])
+    special = np.array([0.0, -0.0, 1e4, -1e4, np.inf, -np.inf,
+                        np.copysign(np.nan, 1.0), np.copysign(np.nan, -1.0),
+                        1.0, -1.0, 709.0, -709.0, 745.0, -745.0, 5e-324, -5e-324])
+    assert np.signbit(special[6:8]).tolist() == [False, True]
     normals = np.random.default_rng(0).normal(scale=8.0, size=(64, 33))
-    for x in (special, normals, normals[:, ::3]):
+    block = np.random.default_rng(1).normal(size=(128, 256))
+    for x in (special, normals, normals[:, ::3], block):
         got = _sigmoid(x)
         assert got.shape == x.shape
         assert got.tobytes() == _masked_sigmoid(x).tobytes()
+
+
+def _silu_reference(x):
+    return x * _masked_sigmoid(x)
+
+
+def _silu_grad_reference(x):
+    s = _masked_sigmoid(x)
+    return s * (1.0 + x * (1.0 - s))
+
+
+def _mlp_forward_reference(net, x):
+    """The out-of-place forward pass: a new array for the bias sum."""
+    tape, h = [x], x
+    for layer in net.layers:
+        pre = h @ layer.weight.T + layer.bias
+        h = _silu_reference(pre) if layer.act == "silu" else pre
+        tape.extend([pre, h])
+    return h, tape
+
+
+def _mlp_backward_reference(net, tape, g):
+    """The out-of-place backward pass, the identity layer's gradient
+    multiplied by ones."""
+    param_grads = [None] * (2 * len(net.layers))
+    for li in range(len(net.layers) - 1, -1, -1):
+        layer, pre, inp = net.layers[li], tape[2 * li + 1], tape[2 * li]
+        local = _silu_grad_reference(pre) if layer.act == "silu" else np.ones_like(pre)
+        g = g * local
+        param_grads[2 * li] = g.T @ inp
+        param_grads[2 * li + 1] = g.sum(axis=0)
+        g = g @ layer.weight
+    return param_grads, g
+
+
+def test_silu_and_grad_equal_out_of_place_reference_bitwise():
+    rng = np.random.default_rng(2)
+    block = rng.normal(scale=4.0, size=(128, 256))
+    special = np.array([0.0, -0.0, 1e4, -1e4, 709.0, -709.0, 745.0, -745.0,
+                        5e-324, -5e-324, 36.7, -36.7])
+    for x in (block, block[:, ::5], special, rng.standard_cauchy(5000)):
+        assert silu(x).tobytes() == _silu_reference(x).tobytes()
+        assert silu_grad(x).tobytes() == _silu_grad_reference(x).tobytes()
+
+
+@pytest.mark.parametrize("dims", [[192, 256, 256, 64], [5, 8, 3], [4, 2]])
+def test_mlp_passes_equal_out_of_place_reference_bitwise(dims):
+    """The denoiser's shape among them; the caller's input and output
+    gradient are left as they were."""
+    rng = Rng(17)
+    net = Mlp.create(dims, rng)
+    x = rng.normal((128, dims[0])) * 3.0
+    out, tape = net.forward(x)
+    ref_out, ref_tape = _mlp_forward_reference(net, x)
+    assert len(tape) == len(ref_tape)
+    for got, want in zip(tape, ref_tape):
+        assert got.tobytes() == want.tobytes()
+    grad_out = rng.normal(out.shape)
+    kept = grad_out.copy()
+    grads, gx = net.backward(tape, grad_out)
+    ref_grads, ref_gx = _mlp_backward_reference(net, ref_tape, grad_out)
+    for got, want in zip(grads + [gx], ref_grads + [ref_gx]):
+        assert got.tobytes() == want.tobytes()
+    assert grad_out.tobytes() == kept.tobytes()
 
 
 def test_silu_grad_matches_fd():
