@@ -11,6 +11,10 @@ from .errors import ContractError
 
 SCENARIO_ETA = {"warm_start": 0.0, "all_bundle": 0.3, "cold_start": 0.5}
 
+# Largest eta accepted: stage 3 draws eta pseudo triples per real triple in
+# every phase-two epoch, so its time and memory grow linearly with eta.
+MAX_ETA = 10.0
+
 
 def field_type(f: dataclasses.Field) -> type:
     """int, float or str: the type a field's annotation names, `| None` aside."""
@@ -68,15 +72,23 @@ class RunConfig:
             raise ContractError(f"unknown scenario {self.scenario!r}")
         if self.schedule not in ("linear", "exp", "cosine"):
             raise ContractError(f"unknown schedule {self.schedule!r}")
-        for name in ("d", "K", "T", "T_prime", "top_n", "d_c", "d_time", "k_eval",
+        for name in ("d", "K", "T_prime", "top_n", "d_c", "d_time", "k_eval",
                      "stage1_batch", "diff_batch", "stage3_batch"):
             if getattr(self, name) < 1:
                 raise ContractError(f"config field {name} must be >= 1")
         for name in ("stage1_lr", "cond_lr", "diff_lr", "stage3_lr", "stage1_weight_decay"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ContractError(f"config field {name} must be finite and >= 0")
-        if self.eta is not None and not 0 <= self.eta < math.inf:
-            raise ContractError("eta must be finite and >= 0")
+        if self.eta is not None and not 0 <= self.eta <= MAX_ETA:
+            raise ContractError(f"eta must be in [0, {MAX_ETA:g}]")
+        # What stage 2's noise schedule, strided sampler and sine-cosine
+        # time embedding need.
+        if self.T < 2:
+            raise ContractError("config field T must be >= 2")
+        if self.T_prime > self.T:
+            raise ContractError("config field T_prime must be <= T")
+        if self.d_time % 2:
+            raise ContractError("config field d_time must be even")
         # Johnk's beta sampler accepts a draw with probability
         # G(a+1)^2 / G(2a+1): at least 1/2 for a <= 1, 1/184,756 at a = 10.
         if not 0 < self.beta_alpha <= 1:

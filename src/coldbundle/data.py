@@ -8,7 +8,7 @@ produces dense ids plus an ``idmap.tsv`` sidecar.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -101,8 +101,8 @@ class PositivesIndex:
 
     The set's canonical (row, col) order makes `cols` the CSR indices and
     `rows * n_cols + cols` an ascending key array, so membership is one
-    `searchsorted`.  The training loops build one each; `holds` and `row`
-    serve per-draw Python loops from cached list copies.
+    `searchsorted`.  A split holds one for its train positives; `holds`
+    and `row` serve per-draw Python loops from cached list copies.
     """
 
     n_cols: int
@@ -248,6 +248,9 @@ def ingest_remap(raw_dir, out_dir) -> Catalog:
 
 @dataclass
 class ScenarioSplit:
+    """A scenario's interactions plus the training facts derived from them
+    (cold labels, warm bundles, train positives), each computed on first use."""
+
     scenario: Scenario
     catalog: Catalog
     train_x: InteractionSet
@@ -255,25 +258,28 @@ class ScenarioSplit:
     test_x: InteractionSet
     y: InteractionSet  # user-item interactions, kept whole in the train period
     z: InteractionSet  # bundle-item affiliations
-    bundle_bint_cold: np.ndarray = field(default=None)  # bool per bundle
-    bundle_iint_cold: np.ndarray = field(default=None)
-    item_cold: np.ndarray = field(default=None)
-    cold_item_ratio: np.ndarray = field(default=None)
 
-    def recompute_labels(self) -> None:
-        cat = self.catalog
-        self.bundle_bint_cold = self.train_x.col_degrees(cat.n_bundles) == 0
-        self.item_cold = self.y.col_degrees(cat.n_items) == 0
-        ratio = np.zeros(cat.n_bundles)
-        sizes = self.z.row_degrees(cat.n_bundles)
-        cold_members = np.bincount(
-            self.z.rows, weights=self.item_cold[self.z.cols].astype(np.float64),
-            minlength=cat.n_bundles,
-        )
-        nonempty = sizes > 0
-        ratio[nonempty] = cold_members[nonempty] / sizes[nonempty]
-        self.bundle_iint_cold = cold_members > 0
-        self.cold_item_ratio = ratio
+    @cached_property
+    def bundle_bint_cold(self) -> np.ndarray:  # no train interaction
+        return self.train_x.col_degrees(self.catalog.n_bundles) == 0
+
+    @cached_property
+    def item_cold(self) -> np.ndarray:  # no user-item interaction
+        return self.y.col_degrees(self.catalog.n_items) == 0
+
+    @cached_property
+    def bundle_iint_cold(self) -> np.ndarray:  # a cold member item
+        out = np.zeros(self.catalog.n_bundles, dtype=bool)
+        out[self.z.rows[self.item_cold[self.z.cols]]] = True
+        return out
+
+    @cached_property
+    def warm_bundles(self) -> np.ndarray:  # ascending ids
+        return np.flatnonzero(~self.bundle_bint_cold)
+
+    @cached_property
+    def train_positives(self) -> PositivesIndex:
+        return PositivesIndex.of(self.train_x, self.catalog.n_users, self.catalog.n_bundles)
 
 
 @dataclass
@@ -328,7 +334,7 @@ def make_split(x: InteractionSet, y: InteractionSet, z: InteractionSet,
     set (held-out bundles contribute all their interactions to val/test);
     AllBundle fills half of val/test interactions from held-out bundles and
     half from warm bundles, rounding toward the cold side.  Y is kept whole
-    in the train period.  All labels are recomputed from the train portion.
+    in the train period.  The split derives its labels from the train portion.
     """
     if len(x) == 0:
         raise ContractError("cannot split an empty interaction set")
@@ -401,7 +407,6 @@ def make_split(x: InteractionSet, y: InteractionSet, z: InteractionSet,
     )
     if len(split.train_x) == 0 or len(split.test_x) == 0:
         raise DegenerateSplitError(f"{scenario.value} split produced an empty train or test set")
-    split.recompute_labels()
     return split
 
 
@@ -425,7 +430,7 @@ def load_split(split_dir, y: InteractionSet, z: InteractionSet, catalog: Catalog
     labels = read_json(path, ("scenario",))
     if labels["scenario"] not in [s.value for s in Scenario]:
         raise ContractError(f"{path}: unknown scenario {labels['scenario']!r}")
-    split = ScenarioSplit(
+    return ScenarioSplit(
         scenario=Scenario(labels["scenario"]),
         catalog=catalog,
         train_x=load_interactions(split_dir / "train.tsv", Kind.USER_BUNDLE, catalog),
@@ -434,8 +439,6 @@ def load_split(split_dir, y: InteractionSet, z: InteractionSet, catalog: Catalog
         y=y,
         z=z,
     )
-    split.recompute_labels()
-    return split
 
 
 def synth_blockmodel(n_users: int, n_items: int, n_bundles: int, groups: int,

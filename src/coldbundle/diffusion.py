@@ -116,15 +116,13 @@ def time_embedding(t, T: int, dim: int = 64) -> np.ndarray:
 @dataclass
 class Denoiser:
     net: Mlp
-    d: int
-    d_cond: int
     d_time: int
 
 
 def make_denoiser(d: int, d_cond: int, d_time: int, rng: Rng, hidden: int | None = None) -> Denoiser:
     hidden = hidden or 4 * d
     net = Mlp.create([d + d_cond + d_time, hidden, hidden, d], rng)
-    return Denoiser(net=net, d=d, d_cond=d_cond, d_time=d_time)
+    return Denoiser(net=net, d_time=d_time)
 
 
 def denoiser_forward(den: Denoiser, x_t: np.ndarray, cond: np.ndarray,
@@ -304,29 +302,20 @@ def pretrain_conditions(z: InteractionSet, n_bundles: int, n_items: int,
     return ConditionProvider(item_cond=w_item, bundle_cond=bundle_cond)
 
 
-def generate_all(view: str, z: InteractionSet, n_bundles: int, n_items: int,
-                 embedded_reps: np.ndarray, warm_ids: np.ndarray,
-                 cond: ConditionProvider, den: Denoiser, s: NoiseSchedule,
+def generate_all(comp: sp.csr_matrix, embedded_reps: np.ndarray, warm_ids: np.ndarray,
+                 conds: np.ndarray, den: Denoiser, s: NoiseSchedule,
                  T_prime: int, top_n: int) -> np.ndarray:
-    """Diffusion representations for every entity in the view.
+    """Diffusion representations for every entity of one view.
 
-    Inputs are limited to bundle-item structure, warm embedded
-    representations, pretrained conditions, and the trained denoiser; no
-    user interaction data is read, so cold and warm entities are handled
-    identically (warm entities also anchor on their top-n neighbors,
-    excluding themselves).
+    `comp` holds one binary composition row per entity (bundle-item rows
+    for the bundle view, item-bundle rows for the item view) and `conds`
+    one condition row per entity.  Inputs are limited to bundle-item
+    structure, warm embedded representations, pretrained conditions, and
+    the trained denoiser; no user interaction data is read, so cold and
+    warm entities are handled identically (warm entities also anchor on
+    their top-n neighbors, excluding themselves).
     """
-    zc = sp.csr_matrix((np.ones(len(z)), (z.rows, z.cols)), shape=(n_bundles, n_items))
-    if view == "bint":
-        comp = zc
-        n_entities = n_bundles
-        conds = cond.bundle_cond
-    elif view == "iint":
-        comp = zc.T.tocsr()
-        n_entities = n_items
-        conds = cond.item_cond
-    else:
-        raise ContractError(f"unknown view {view!r}")
+    n_entities = comp.shape[0]
     idx = build_anchor_index(comp, warm_ids, embedded_reps)
     anchors = np.concatenate([
         anchor(np.arange(start, min(start + ANCHOR_BLOCK, n_entities)), idx, top_n)

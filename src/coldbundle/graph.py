@@ -227,8 +227,7 @@ def train_stage1(split: ScenarioSplit, cfg: RunConfig):
     )
     view = DualView.of(split)
 
-    positives = PositivesIndex.of(split.train_x, cat.n_users, cat.n_bundles)
-    warm_bundles = np.unique(split.train_x.cols)
+    positives, warm_bundles = split.train_positives, split.warm_bundles
     if warm_bundles.size < 2:
         raise ContractError("need at least two train-interacted bundles")
 

@@ -285,7 +285,7 @@ def sample_pseudo_triples(split: ScenarioSplit, count: int, beta_alpha: float,
     stream makes them the draws of the equivalent scalar Rng calls.
     """
     cat = split.catalog
-    positives = PositivesIndex.of(split.train_x, cat.n_users, cat.n_bundles)
+    positives = split.train_positives
     degrees = positives.degrees()
     eligible = np.flatnonzero(degrees >= 2)
     skipped = cat.n_users - eligible.size
@@ -367,7 +367,6 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
     Returns (GateParams, no-aug GateParams, history of the augmented fit);
     with no pseudo triples (eta 0) the two gate sets are the same object.
     """
-    cat = split.catalog
     rng = Rng(cfg.seed).derive("stage3")
     gp = GateParams.create(x.d, rng.derive("init"))
     gp.w_out[:] = 0.0
@@ -375,8 +374,7 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
     users_all = split.train_x.rows
     pos_all = split.train_x.cols
     n_pairs = users_all.size
-    positives = PositivesIndex.of(split.train_x, cat.n_users, cat.n_bundles)
-    warm_bundles = np.unique(pos_all)
+    positives, warm_bundles = split.train_positives, split.warm_bundles
     if warm_bundles.size < 2:
         raise ContractError("need at least two train-interacted bundles")
     n_pseudo = int(round(cfg.effective_eta * n_pairs))

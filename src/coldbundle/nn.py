@@ -59,52 +59,27 @@ def scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarra
     return np.bincount(flat, weights=values.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
-# name -> (activation, its derivative); the identity's derivative is None,
-# as backward passes the gradient through unscaled.
-_ACTIVATIONS = {
-    "silu": (silu, silu_grad),
-    "identity": (lambda x: x, None),
-}
-
-
 @dataclass
 class Layer:
     weight: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray    # (out_dim,)
-    act: str
 
 
+@dataclass
 class Mlp:
-    """Fully-connected net; layers chain and the final activation is identity."""
+    """Fully-connected net: SiLU after every layer but the last."""
 
-    def __init__(self, layers: list[Layer]):
-        for a, b in zip(layers, layers[1:]):
-            if a.weight.shape[0] != b.weight.shape[1]:
-                raise ShapeError("consecutive layer dimensions do not chain")
-        if layers and layers[-1].act != "identity":
-            raise ContractError("final activation must be identity")
-        self.layers = layers
+    layers: list[Layer]
 
     @classmethod
     def create(cls, dims: list[int], rng) -> "Mlp":
-        """SiLU hidden layers and an identity output layer."""
-        layers = []
-        for li, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-            act = "silu" if li < len(dims) - 2 else "identity"
-            layers.append(Layer(
-                weight=rng.uniform_init((d_out, d_in), d_in),
-                bias=rng.uniform_init(d_out, d_in),
-                act=act,
-            ))
-        return cls(layers)
+        return cls([Layer(weight=rng.uniform_init((d_out, d_in), d_in),
+                          bias=rng.uniform_init(d_out, d_in))
+                    for d_in, d_out in zip(dims, dims[1:])])
 
     @property
     def in_dim(self) -> int:
         return self.layers[0].weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
 
     def params(self) -> list[np.ndarray]:
         out = []
@@ -121,10 +96,11 @@ class Mlp:
             raise ContractError("non-finite input to forward pass")
         tape = [x]
         h = x
-        for layer in self.layers:
+        last = len(self.layers) - 1
+        for li, layer in enumerate(self.layers):
             pre = h @ layer.weight.T
             pre += layer.bias
-            h = _ACTIVATIONS[layer.act][0](pre)
+            h = silu(pre) if li < last else pre
             tape.extend([pre, h])
         return h, tape
 
@@ -137,13 +113,13 @@ class Mlp:
             raise ContractError("tape does not match network depth")
         g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
         param_grads = [None] * (2 * len(self.layers))
-        for li in range(len(self.layers) - 1, -1, -1):
+        last = len(self.layers) - 1
+        for li in range(last, -1, -1):
             layer = self.layers[li]
             pre = tape[2 * li + 1]
             inp = tape[2 * li]
-            act_grad = _ACTIVATIONS[layer.act][1]
-            if act_grad is not None:
-                local = act_grad(pre)
+            if li < last:
+                local = silu_grad(pre)
                 local *= g
                 g = local
             param_grads[2 * li] = g.T @ inp

@@ -20,6 +20,7 @@ import logging
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import diffusion as dif
 from . import graph as gr
@@ -147,27 +148,25 @@ def run_stage2(cfg: RunConfig, split: ScenarioSplit, out: Path):
                                    rng.derive("cond"))
     s = dif.make_schedule(cfg.schedule, cfg.T)
 
-    warm_b = np.flatnonzero(~split.bundle_bint_cold)
-    warm_i = np.flatnonzero(~split.item_cold)
-    if warm_b.size == 0 or warm_i.size == 0:
+    # Binary bundle-item compositions; the item view reads the transpose.
+    zc = sp.csr_matrix((np.ones(len(split.z)), (split.z.rows, split.z.cols)),
+                       shape=(cat.n_bundles, cat.n_items))
+    # (view, reps tensor, embedded reps, warm ids, conditions, compositions)
+    views = [("bint", "r_d_bint", rb, split.warm_bundles, cond.bundle_cond, zc),
+             ("iint", "r_d_items", ri, np.flatnonzero(~split.item_cold), cond.item_cond,
+              zc.T.tocsr())]
+    if any(warm.size == 0 for _, _, _, warm, _, _ in views):
         raise ContractError("no warm entities to train the diffusion experts on")
-    den_b = dif.train_diffusion(rb[warm_b], cond.bundle_cond[warm_b], s, cfg,
-                                rng.derive("bint"))
-    den_i = dif.train_diffusion(ri[warm_i], cond.item_cond[warm_i], s, cfg,
-                                rng.derive("iint"))
-    r_d_bint = dif.generate_all("bint", split.z, cat.n_bundles, cat.n_items,
-                                rb, warm_b, cond, den_b, s, cfg.T_prime, cfg.top_n)
-    r_d_items = dif.generate_all("iint", split.z, cat.n_bundles, cat.n_items,
-                                 ri, warm_i, cond, den_i, s, cfg.T_prime, cfg.top_n)
-    tensors = {
-        "r_d_bint": r_d_bint, "r_d_items": r_d_items,
-        "item_cond": cond.item_cond, "bundle_cond": cond.bundle_cond,
-    }
-    tensors.update(_denoiser_tensors("den_bint", den_b))
-    tensors.update(_denoiser_tensors("den_iint", den_i))
+    # The checkpoint's tensor order; the loop fills the two placeholders.
+    tensors = {"r_d_bint": None, "r_d_items": None,
+               "item_cond": cond.item_cond, "bundle_cond": cond.bundle_cond}
+    for view, key, reps, warm, conds, comp in views:
+        den = dif.train_diffusion(reps[warm], conds[warm], s, cfg, rng.derive(view))
+        tensors[key] = dif.generate_all(comp, reps, warm, conds, den, s, cfg.T_prime, cfg.top_n)
+        tensors.update(_denoiser_tensors(f"den_{view}", den))
     save_checkpoint(out / "stage2.ckpt", "stage2", cfg.to_dict(), tensors)
     update_manifest(out, cfg, {"stage2": "stage2.ckpt"})
-    return r_d_bint, r_d_items
+    return tensors["r_d_bint"], tensors["r_d_items"]
 
 
 def build_experts(cfg: RunConfig, split: ScenarioSplit, out: Path) -> moe.ExpertOutputs:

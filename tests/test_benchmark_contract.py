@@ -61,7 +61,7 @@ def test_evaluation_and_validation_rank_through_the_traced_kernel():
 def test_anchor_search_counts_blocks_and_mlp_spans_record(monkeypatch):
     """generate_all calls diffusion.anchor once per row block, and the MLP
     forward/backward and Adam step still record spans under their names."""
-    _, z, comps = _view_inputs()
+    _, _, comps = _view_inputs()
     n_bundles, n_items = comps["bint"].shape
     monkeypatch.setattr(diffusion, "ANCHOR_BLOCK", 8)
     rng = Rng(0)
@@ -76,8 +76,7 @@ def test_anchor_search_counts_blocks_and_mlp_spans_record(monkeypatch):
         den = diffusion.train_diffusion(reps[warm], cond.bundle_cond[warm], s,
                                         RunConfig(diff_epochs=1, d_time=4),
                                         rng.derive("den"))
-        diffusion.generate_all("bint", z, n_bundles, n_items, reps, warm, cond,
-                               den, s, 4, 3)
+        diffusion.generate_all(comps["bint"], reps, warm, cond.bundle_cond, den, s, 4, 3)
     finally:
         rec.stop()
     layer = rec.per_layer()

@@ -128,7 +128,8 @@ BAD_CONFIG = [
     ("--beta-alpha", "inf"), ("--beta-alpha", "20"), ("--beta-alpha", "nan"),
     ("--stage1-lr", "nan"), ("--stage1-lr", "-0.5"), ("--cond-lr", "inf"),
     ("--diff-lr", "nan"), ("--stage3-lr", "-0.5"), ("--stage1-weight-decay", "nan"),
-    ("--stage1-weight-decay", "-0.5"),
+    ("--stage1-weight-decay", "-0.5"), ("--eta", "1e9"), ("--eta", "10.5"),
+    ("--T", "1"), ("--T-prime", "11"), ("--d-time", "7"),
     ("--config", '{"d": "x"}'), ("--config", '{"d": 1.5}'), ("--config", '{"d": true}'),
     ("--config", '{"seed": null}'), ("--config", '{"eta": "0.5"}'),
     ("--config", '{"scenario": 3}'), ("--config", '{"seed": 3,'), ("--config", "[1]"),

@@ -1,5 +1,7 @@
 """Interaction sets, scenario splits, cold labels, synthetic generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,9 +225,33 @@ def test_labels_sound():
         members = z.cols[z.rows == b]
         expect = bool(np.any(split.item_cold[members])) if members.size else False
         assert bool(split.bundle_iint_cold[b]) == expect
-        if members.size:
-            ratio = float(np.mean(split.item_cold[members]))
-            assert abs(split.cold_item_ratio[b] - ratio) < 1e-12
+
+
+def test_split_facts_follow_its_data():
+    """A copy of a split with more train pairs derives its cold labels, warm
+    bundles and train positives from its own pairs, not from the split it
+    was copied from, whose facts were already computed."""
+    cat, x, y, z = _toy()
+    split = make_split(x, y, z, cat, Scenario.COLD_START, seed=3)
+    want = np.unique(split.train_x.cols)
+    assert split.warm_bundles.dtype == want.dtype
+    np.testing.assert_array_equal(split.warm_bundles, want)
+    assert split.train_positives.keys.size == len(split.train_x)
+    cold = np.flatnonzero(split.bundle_bint_cold)
+    assert cold.size
+    tx = split.train_x
+    train_x = InteractionSet.from_pairs(tx.kind, np.r_[tx.rows, np.zeros(cold.size, np.int64)],
+                                        np.r_[tx.cols, cold])
+    moved = dataclasses.replace(split, train_x=train_x)
+    np.testing.assert_array_equal(moved.bundle_bint_cold,
+                                  train_x.col_degrees(cat.n_bundles) == 0)
+    assert not moved.bundle_bint_cold.any()
+    want = np.unique(train_x.cols)
+    assert moved.warm_bundles.dtype == want.dtype
+    np.testing.assert_array_equal(moved.warm_bundles, want)
+    fresh = PositivesIndex.of(train_x, cat.n_users, cat.n_bundles)
+    for name in ("rows", "cols", "indptr", "keys"):
+        np.testing.assert_array_equal(getattr(moved.train_positives, name), getattr(fresh, name))
 
 
 def test_cold_stats_partition():

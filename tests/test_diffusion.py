@@ -248,7 +248,7 @@ def test_warm_query_with_fewer_candidates_than_n():
 
 @pytest.mark.parametrize("view", ["bint", "iint"])
 def test_generate_all_blocks_equal_per_entity_reference(view, monkeypatch):
-    gen, z, comps = _view_inputs(seed=1)
+    gen, _, comps = _view_inputs(seed=1)
     n_bundles, n_items = comps["bint"].shape
     n_entities = comps[view].shape[0]
     monkeypatch.setattr(diffusion, "ANCHOR_BLOCK", 7)  # divides neither count
@@ -260,10 +260,10 @@ def test_generate_all_blocks_equal_per_entity_reference(view, monkeypatch):
     s = make_schedule("linear", 30)
     reps = gen.normal(size=(n_entities, d))
     warm = np.flatnonzero(gen.random(n_entities) < 0.6)
-    got = generate_all(view, z, n_bundles, n_items, reps, warm, cond, den, s, 6, 3)
+    conds = cond.bundle_cond if view == "bint" else cond.item_cond
+    got = generate_all(comps[view], reps, warm, conds, den, s, 6, 3)
     idx = build_anchor_index(comps[view], warm, reps)
     start = np.stack([_anchor_reference(e, idx, 3) for e in range(n_entities)])
-    conds = cond.bundle_cond if view == "bint" else cond.item_cond
     ref = reverse_denoise(start, conds, den, s, 6)
     assert got.tobytes() == ref.tobytes()
 

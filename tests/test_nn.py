@@ -50,22 +50,25 @@ def _silu_grad_reference(x):
 
 
 def _mlp_forward_reference(net, x):
-    """The out-of-place forward pass: a new array for the bias sum."""
+    """The out-of-place forward pass: a new array for the bias sum, SiLU
+    after every layer but the last."""
     tape, h = [x], x
-    for layer in net.layers:
+    last = len(net.layers) - 1
+    for li, layer in enumerate(net.layers):
         pre = h @ layer.weight.T + layer.bias
-        h = _silu_reference(pre) if layer.act == "silu" else pre
+        h = _silu_reference(pre) if li < last else pre
         tape.extend([pre, h])
     return h, tape
 
 
 def _mlp_backward_reference(net, tape, g):
-    """The out-of-place backward pass, the identity layer's gradient
+    """The out-of-place backward pass, the last (identity) layer's gradient
     multiplied by ones."""
     param_grads = [None] * (2 * len(net.layers))
-    for li in range(len(net.layers) - 1, -1, -1):
+    last = len(net.layers) - 1
+    for li in range(last, -1, -1):
         layer, pre, inp = net.layers[li], tape[2 * li + 1], tape[2 * li]
-        local = _silu_grad_reference(pre) if layer.act == "silu" else np.ones_like(pre)
+        local = _silu_grad_reference(pre) if li < last else np.ones_like(pre)
         g = g * local
         param_grads[2 * li] = g.T @ inp
         param_grads[2 * li + 1] = g.sum(axis=0)
