@@ -151,22 +151,22 @@ def run_stage2(cfg: RunConfig, split: ScenarioSplit, out: Path):
     # Binary bundle-item compositions; the item view reads the transpose.
     zc = sp.csr_matrix((np.ones(len(split.z)), (split.z.rows, split.z.cols)),
                        shape=(cat.n_bundles, cat.n_items))
-    # (view, reps tensor, embedded reps, warm ids, conditions, compositions)
-    views = [("bint", "r_d_bint", rb, split.warm_bundles, cond.bundle_cond, zc),
-             ("iint", "r_d_items", ri, np.flatnonzero(~split.item_cold), cond.item_cond,
-              zc.T.tocsr())]
-    if any(warm.size == 0 for _, _, _, warm, _, _ in views):
+    # view: (embedded reps, cold labels, conditions, compositions)
+    views = {"bint": (rb, split.bundle_bint_cold, cond.bundle_cond, zc),
+             "iint": (ri, split.item_cold, cond.item_cond, zc.T.tocsr())}
+    if any(cold.all() for _, cold, _, _ in views.values()):
         raise ContractError("no warm entities to train the diffusion experts on")
-    # The checkpoint's tensor order; the loop fills the two placeholders.
-    tensors = {"r_d_bint": None, "r_d_items": None,
-               "item_cond": cond.item_cond, "bundle_cond": cond.bundle_cond}
-    for view, key, reps, warm, conds, comp in views:
+    gen, dens = {}, {}
+    for view, (reps, cold, conds, comp) in views.items():
+        warm = np.flatnonzero(~cold)
         den = dif.train_diffusion(reps[warm], conds[warm], s, cfg, rng.derive(view))
-        tensors[key] = dif.generate_all(comp, reps, warm, conds, den, s, cfg.T_prime, cfg.top_n)
-        tensors.update(_denoiser_tensors(f"den_{view}", den))
+        gen[view] = dif.generate_all(comp, reps, warm, conds, den, s, cfg.T_prime, cfg.top_n)
+        dens.update(_denoiser_tensors(f"den_{view}", den))
+    tensors = {"r_d_bint": gen["bint"], "r_d_items": gen["iint"],
+               "item_cond": cond.item_cond, "bundle_cond": cond.bundle_cond, **dens}
     save_checkpoint(out / "stage2.ckpt", "stage2", cfg.to_dict(), tensors)
     update_manifest(out, cfg, {"stage2": "stage2.ckpt"})
-    return tensors["r_d_bint"], tensors["r_d_items"]
+    return gen["bint"], gen["iint"]
 
 
 def build_experts(cfg: RunConfig, split: ScenarioSplit, out: Path) -> moe.ExpertOutputs:

@@ -110,13 +110,14 @@ def _lexsort_oracle(scores, train_x):
     return np.array([np.lexsort((ids, -masked[u])) for u in range(scores.shape[0])])
 
 
-def _crowded(split):
-    """split with user 0 holding all but two bundles and user 1 every
-    bundle in train, so their rows have fewer unmasked candidates than k."""
-    n = split.catalog.n_bundles
+def _crowded(split, pool=None):
+    """split with user 0 holding all but two bundles of `pool` (default:
+    every bundle) and user 1 all of them in train, so their rows have fewer
+    unmasked candidates than k.  Bundles outside `pool` gain no train pair."""
+    pool = np.arange(split.catalog.n_bundles) if pool is None else pool
     tx = split.train_x
-    rows = np.r_[tx.rows, np.zeros(n - 2, np.int64), np.ones(n, np.int64)]
-    cols = np.r_[tx.cols, np.arange(2, n), np.arange(n)]
+    rows = np.r_[tx.rows, np.zeros(pool.size - 2, np.int64), np.ones(pool.size, np.int64)]
+    cols = np.r_[tx.cols, pool[2:], pool]
     return dataclasses.replace(split, train_x=InteractionSet.from_pairs(tx.kind, rows, cols))
 
 
@@ -177,6 +178,14 @@ def _reference_evaluate(scores, split, k):
         cold_bundle_users=len(cold_recalls))
 
 
+def _cold_items(split, items):
+    """split whose `items` lose every user-item pair, so bundles holding
+    one of them are iint-cold."""
+    keep = ~np.isin(split.y.cols, items)
+    return dataclasses.replace(split, y=InteractionSet.from_pairs(
+        split.y.kind, split.y.rows[keep], split.y.cols[keep]))
+
+
 def _dense_test(split, rng):
     """split with about half of each user's non-train bundles as test
     positives, so users hold many hits and DCG sums many terms."""
@@ -193,14 +202,24 @@ def test_evaluate_equals_per_user_reference(scenario):
     rng = Rng(12)
     for seed in range(2):
         cat, x, y, z = synth_blockmodel(30, 40, 24, 3, 4, 0.5, seed)
-        split = _crowded(make_split(x, y, z, cat, scenario, seed=seed))
+        base = _cold_items(make_split(x, y, z, cat, scenario, seed=seed), np.arange(0, 40, 8))
+        # Crowding over the warm bundles only keeps the cold ones cold.
+        split = _crowded(base, base.warm_bundles)
+        np.testing.assert_array_equal(split.bundle_bint_cold, base.bundle_bint_cold)
+        assert split.bundle_iint_cold.any() and not split.bundle_iint_cold.all()
         if seed:
             split = _dense_test(split, rng)
+        cold_hits = 0
         for kind, scores in _score_kinds(rng, (cat.n_users, cat.n_bundles)).items():
             for k in (1, 5, 20, 30, 50):
                 got, want = evaluate(scores, split, k), _reference_evaluate(scores, split, k)
                 assert got == want, f"{kind} k={k}"
                 assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+                cold_hits += want.situation_hits["cold__warm"] + want.situation_hits["cold__cold"]
+                if scenario is Scenario.COLD_START:
+                    assert want.cold_bundle_users > 0
+        # The cold-bundle branch is compared on real hits, not only zeros.
+        assert (cold_hits > 0) == (scenario is Scenario.COLD_START)
 
 
 def test_evaluate_report_consistency():
