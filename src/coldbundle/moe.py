@@ -114,37 +114,49 @@ def output_gate(a_out: np.ndarray, w_out: np.ndarray) -> np.ndarray:
     return np.tanh(np.atleast_2d(a_out) @ w_out.T)
 
 
+def _view_scores(ru_bint: np.ndarray, ru_iint: np.ndarray, fb: np.ndarray,
+                 fi: np.ndarray) -> np.ndarray:
+    """Per-view inner products (n, 2) of aligned user and bundle rows."""
+    return np.stack([np.sum(ru_bint * fb, axis=1), np.sum(ru_iint * fi, axis=1)], axis=1)
+
+
+def _gated(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Scores of rows with output gates g and per-view scores s, both (n, 2)."""
+    return g[:, 0] * s[:, 0] + g[:, 1] * s[:, 1]
+
+
+def _gate_coef(coef: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gradient of sum(coef * y) with respect to the output-gate logits."""
+    return coef[:, None] * (1.0 - g * g) * s
+
+
 def two_view_scores(ru_bint: np.ndarray, ru_iint: np.ndarray, fb: np.ndarray,
                     fi: np.ndarray, w_out: np.ndarray | None):
     """Scores of aligned (user, bundle) rows through both views, with a VJP.
 
     y = g0 <ru_bint, fb> + g1 <ru_iint, fi> with g = tanh([fb, fi] @ w_out.T);
     w_out None is unit output fusion (g = 1).  Returns (y, vjp), where
-    vjp(coef, reps=True) gives the gradients of sum(coef * y) as
-    (d_w_out, d_fb, d_fi): d_w_out None under unit fusion, d_fb and d_fi
-    None (not computed) when reps is False.
+    vjp(coef) gives the gradients of sum(coef * y) as (d_w_out, d_fb, d_fi),
+    d_w_out None under unit fusion.
     """
-    s1 = np.sum(ru_bint * fb, axis=1)
-    s2 = np.sum(ru_iint * fi, axis=1)
+    s = _view_scores(ru_bint, ru_iint, fb, fi)
     if w_out is None:
-        def unit_vjp(coef, reps=True):
+        def unit_vjp(coef):
             cw = coef[:, None]
-            return (None, cw * ru_bint, cw * ru_iint) if reps else (None, None, None)
-        return s1 + s2, unit_vjp
+            return None, cw * ru_bint, cw * ru_iint
+        return s[:, 0] + s[:, 1], unit_vjp
 
     a_out = np.concatenate([fb, fi], axis=1)
     g = output_gate(a_out, w_out)
 
-    def vjp(coef, reps=True):
-        v = coef[:, None] * (1.0 - g * g) * np.stack([s1, s2], axis=1)
-        if not reps:
-            return v.T @ a_out, None, None
+    def vjp(coef):
+        v = _gate_coef(coef, g, s)
         d_a = v @ w_out
         d = fb.shape[1]
         return (v.T @ a_out,
                 coef[:, None] * g[:, 0:1] * ru_bint + d_a[:, :d],
                 coef[:, None] * g[:, 1:2] * ru_iint + d_a[:, d:])
-    return g[:, 0] * s1 + g[:, 1] * s2, vjp
+    return _gated(g, s), vjp
 
 
 def _score_matrix(x: ExpertOutputs, rb_bint: np.ndarray, rb_iint: np.ndarray,
@@ -207,10 +219,10 @@ def _gate_grad_from_rep_grads(G, r_e, r_d, w, features):
 
 
 def _real_triple_loss_and_grads(x: ExpertOutputs, gp: GateParams, triples,
-                                w_out: np.ndarray | None, view_gates: bool = True):
+                                w_out: np.ndarray | None):
     """Summed ranking loss of real triples scored by `two_view_scores`, and
     its gradients [w_bint, w_iint, w_out] (w_out None: unit output fusion,
-    zero output-gate gradient; view_gates False: view-gate entries None)."""
+    zero output-gate gradient)."""
     u, bp, bn = triples
     rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
     n_bundles = x.r_e_bint.shape[0]
@@ -223,20 +235,74 @@ def _real_triple_loss_and_grads(x: ExpertOutputs, gp: GateParams, triples,
         y_pos, vjp_pos = two_view_scores(ru1, ru2, rb_bint[bp], rb_iint[bp], w_out)
         y_neg, vjp_neg = two_view_scores(ru1, ru2, rb_bint[bn], rb_iint[bn], w_out)
         loss, c = bpr_loss(y_pos, y_neg)
-        d_pos, d_neg = vjp_pos(c, reps=view_gates), vjp_neg(-c, reps=view_gates)
+        d_pos, d_neg = vjp_pos(c), vjp_neg(-c)
         for d_w in (d_pos[0], d_neg[0]):
             if d_w is not None:
                 g_w_out += d_w
-        if view_gates:
-            b = np.concatenate([bp, bn])
-            GB = scatter_rows(b, np.concatenate([d_pos[1], d_neg[1]]), n_bundles)
-            GI = scatter_rows(b, np.concatenate([d_pos[2], d_neg[2]]), n_bundles)
-    if not view_gates:
-        return loss, [None, None, g_w_out]
+        b = np.concatenate([bp, bn])
+        GB = scatter_rows(b, np.concatenate([d_pos[1], d_neg[1]]), n_bundles)
+        GI = scatter_rows(b, np.concatenate([d_pos[2], d_neg[2]]), n_bundles)
     g_w_bint = _gate_grad_from_rep_grads(GB, x.r_e_bint, x.r_d_bint, w_b, x.bundle_feature)
     GI_items = x.agg.T @ GI
     g_w_iint = _gate_grad_from_rep_grads(GI_items, x.r_e_items, x.r_d_items, w_i, x.item_feature)
     return loss, [g_w_bint, g_w_iint, g_w_out]
+
+
+# Rows per chunk of the row-wise scoring.  512 x 64 float64 temporaries are
+# 256 KB, which the allocator recycles from chunk to chunk; arrays of a whole
+# 4,096-row batch go back to the kernel when freed and fault in afresh.
+SCORE_CHUNK = 512
+
+
+def _pair_scores(x: ExpertOutputs, rb_bint: np.ndarray, rb_iint: np.ndarray,
+                 users: np.ndarray, bundles: np.ndarray) -> np.ndarray:
+    """`_view_scores` (n, 2) of aligned (user, bundle) rows of the fused
+    tables, gathered SCORE_CHUNK rows at a time."""
+    out = np.empty((users.size, 2))
+    for s in range(0, users.size, SCORE_CHUNK):
+        u, b = users[s:s + SCORE_CHUNK], bundles[s:s + SCORE_CHUNK]
+        out[s:s + SCORE_CHUNK] = _view_scores(x.ru_bint[u], x.ru_iint[u], rb_bint[b], rb_iint[b])
+    return out
+
+
+def _pseudo_sides(x: ExpertOutputs, pseudo: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(s_pos, a_pos, s_neg, a_neg) of pseudo triples for
+    `_output_gate_loss_and_grad`, built SCORE_CHUNK rows at a time.  Pseudo
+    bundles carry a zero cold feature, which pins both view gates at
+    [0.5, 0.5], so each fused row is the mean of its two interpolated
+    experts."""
+    d = x.d
+    sides = []
+    for side in ("pos", "neg"):
+        scores, a_out = np.empty((len(pseudo), 2)), np.empty((len(pseudo), 2 * d))
+        for s in range(0, len(pseudo), SCORE_CHUNK):
+            part, a = pseudo[s:s + SCORE_CHUNK], a_out[s:s + SCORE_CHUNK]
+            e_b, d_b, e_i, d_i = interpolate_pseudo(
+                x, part[side + "_x"], part[side + "_y"], part[side + "_lam"])
+            np.add(e_b, d_b, out=a[:, :d])
+            np.add(e_i, d_i, out=a[:, d:])
+            a *= 0.5
+            scores[s:s + SCORE_CHUNK] = _view_scores(x.ru_bint[part["u"]], x.ru_iint[part["u"]],
+                                                     a[:, :d], a[:, d:])
+        sides += [scores, a_out]
+    return tuple(sides)
+
+
+def _output_gate_loss_and_grad(w_out: np.ndarray, sides: list, loss: float = 0.0,
+                               grad: np.ndarray | None = None):
+    """The output-gate kernel: summed ranking loss of triples whose view
+    scores are fixed, and its w_out gradient, added side by side to
+    (loss, grad).  Each side is (s_pos, a_pos, s_neg, a_neg): the per-view
+    scores (n, 2) and output-gate inputs (n, 2d) of its positive and its
+    negative rows."""
+    grad = np.zeros_like(w_out) if grad is None else grad
+    for s_pos, a_pos, s_neg, a_neg in sides:
+        g_pos, g_neg = output_gate(a_pos, w_out), output_gate(a_neg, w_out)
+        side_loss, c = bpr_loss(_gated(g_pos, s_pos), _gated(g_neg, s_neg))
+        loss += side_loss
+        grad += _gate_coef(c, g_pos, s_pos).T @ a_pos
+        grad += _gate_coef(-c, g_neg, s_neg).T @ a_neg
+    return loss, grad
 
 
 def stage3_loss_and_grads(x: ExpertOutputs, gp: GateParams,
@@ -248,25 +314,22 @@ def stage3_loss_and_grads(x: ExpertOutputs, gp: GateParams,
     pseudo is a PSEUDO_DTYPE record array.  Pseudo bundles carry a zero cold
     feature, which pins both view gates at [0.5, 0.5], so only the output
     gate receives their gradient.  view_gates False returns None for the
-    two view gates and skips their representation gradients, scatters and
-    folds: phase two, which freezes those gates, reads only the w_out
-    gradient.
+    two view gates and scores the real triples straight into the output-gate
+    kernel that phase two of `train_stage3` steps on.
     """
-    total_loss, grads = _real_triple_loss_and_grads(x, gp, triples, gp.w_out, view_gates)
-    if pseudo is not None and len(pseudo):
-        ru1, ru2 = x.ru_bint[pseudo["u"]], x.ru_iint[pseudo["u"]]
-        sides = []
-        for side in ("pos", "neg"):
-            e_b, d_b, e_i, d_i = interpolate_pseudo(
-                x, pseudo[side + "_x"], pseudo[side + "_y"], pseudo[side + "_lam"])
-            sides.append(two_view_scores(ru1, ru2, 0.5 * (e_b + d_b), 0.5 * (e_i + d_i),
-                                         gp.w_out))
-        (y_pos, vjp_pos), (y_neg, vjp_neg) = sides
-        loss, c = bpr_loss(y_pos, y_neg)
-        total_loss += loss
-        grads[2] += vjp_pos(c, reps=False)[0]
-        grads[2] += vjp_neg(-c, reps=False)[0]
-    return total_loss, grads
+    sides = [_pseudo_sides(x, pseudo)] if pseudo is not None and len(pseudo) else []
+    if view_gates:
+        loss, grads = _real_triple_loss_and_grads(x, gp, triples, gp.w_out)
+        loss, grads[2] = _output_gate_loss_and_grad(gp.w_out, sides, loss, grads[2])
+        return loss, grads
+    u, bp, bn = triples
+    rb_bint, rb_iint, _, _ = fused_tables(x, gp)
+    if u.size:
+        a_table = np.concatenate([rb_bint, rb_iint], axis=1)
+        sides.insert(0, (_pair_scores(x, rb_bint, rb_iint, u, bp), a_table[bp],
+                         _pair_scores(x, rb_bint, rb_iint, u, bn), a_table[bn]))
+    loss, grad = _output_gate_loss_and_grad(gp.w_out, sides)
+    return loss, [None, None, grad]
 
 
 def sample_pseudo_triples(split: ScenarioSplit, count: int, beta_alpha: float,
@@ -330,23 +393,6 @@ def _epoch_negatives(rng: Rng, users: np.ndarray, warm_bundles: np.ndarray,
     return _sample_negatives(rng, users, warm_bundles, positives)
 
 
-def _output_gate_epoch(x: ExpertOutputs, gp: GateParams, opt: Adam, batches: list,
-                       pseudo: np.ndarray, epoch: int) -> float:
-    """One phase-two epoch of output-gate steps; pseudo triples are spread
-    evenly over the batches.  Returns the summed loss."""
-    per_batch = max(1, int(np.ceil(len(pseudo) / len(batches)))) if len(pseudo) else 0
-    epoch_loss = 0.0
-    for k, triples in enumerate(batches):
-        loss, grads = stage3_loss_and_grads(x, gp, triples,
-                                            pseudo[k * per_batch:(k + 1) * per_batch],
-                                            view_gates=False)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"gate loss diverged at epoch {epoch}")
-        epoch_loss += loss
-        opt.step([gp.w_out], [grads[2]])
-    return epoch_loss
-
-
 def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
     """Gate-only training on frozen expert outputs, in two phases.
 
@@ -363,7 +409,9 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
     Phase one never sees the augmentation, so it runs once and phase two
     forks into the augmented fit and a companion fit without pseudo
     triples (the no-aug ablation).  Pseudo triples come from derived
-    streams only, so both forks see the same orders and negatives.
+    streams only, so both forks see the same orders and negatives: the
+    forks step side by side on each batch, which shares its real triples'
+    scores and output-gate inputs.
     Returns (GateParams, no-aug GateParams, history of the augmented fit);
     with no pseudo triples (eta 0) the two gate sets are the same object.
     """
@@ -379,12 +427,12 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
         raise ContractError("need at least two train-interacted bundles")
     n_pseudo = int(round(cfg.effective_eta * n_pairs))
     size = cfg.stage3_batch
+    n_batches = -(-n_pairs // size)
 
-    def epoch_batches() -> list:
+    def epoch_draws() -> tuple[np.ndarray, np.ndarray]:
+        """An epoch's pair order and its negatives, in that order."""
         order = rng.permutation(n_pairs)
-        neg_all = _epoch_negatives(rng, users_all[order], warm_bundles, positives)
-        return [(users_all[order[s:s + size]], pos_all[order[s:s + size]], neg_all[s:s + size])
-                for s in range(0, n_pairs, size)]
+        return order, _epoch_negatives(rng, users_all[order], warm_bundles, positives)
 
     history = {"view_loss": [], "view_val_recall": [],
                "out_loss": [], "out_val_recall": []}
@@ -393,9 +441,12 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
     view_params = [gp.w_bint, gp.w_iint]
     opt = Adam(view_params, lr=cfg.stage3_lr)
     for epoch in range(cfg.stage3_epochs):
+        order, neg_all = epoch_draws()
         epoch_loss = 0.0
-        for triples in epoch_batches():
-            loss, grads = _view_phase_loss_and_grads(x, gp, triples)
+        for s in range(0, n_pairs, size):
+            rows = order[s:s + size]
+            loss, grads = _view_phase_loss_and_grads(
+                x, gp, (users_all[rows], pos_all[rows], neg_all[s:s + size]))
             if not np.isfinite(loss):
                 raise DivergenceError(f"view-gate loss diverged at epoch {epoch}")
             epoch_loss += loss
@@ -405,25 +456,46 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
         history["view_val_recall"].append(
             _recall_at_k(_score_matrix(x, rb_bint, rb_iint), split.train_x, split.val_x))
 
-    # Phase two: output gate on frozen view routing, real plus pseudo triples.
+    # Phase two: output gate on frozen view routing, real plus pseudo
+    # triples.  The fused tables, the output-gate inputs and the positive
+    # side's view scores hold for the whole phase; each epoch scores its
+    # negatives once for both forks.
+    rb_bint, rb_iint, _, _ = fused_tables(x, gp)
+    a_table = np.concatenate([rb_bint, rb_iint], axis=1)
+    pos_scores = _pair_scores(x, rb_bint, rb_iint, users_all, pos_all)
     forks = [(gp, n_pseudo)]
     if n_pseudo:
         forks.append((GateParams(gp.w_bint.copy(), gp.w_iint.copy(), gp.w_out.copy()), 0))
     opts = [Adam([g.w_out], lr=cfg.stage3_lr) for g, _ in forks]
     best = [(-1.0, g.w_out.copy(), -1) for g, _ in forks]
     for epoch in range(cfg.stage3_epochs):
-        batches = epoch_batches()
-        for k, ((g, count), opt) in enumerate(zip(forks, opts)):
-            pseudo = (sample_pseudo_triples(split, count, cfg.beta_alpha,
-                                            rng.derive(f"pseudo:{epoch}"))
-                      if count else np.zeros(0, dtype=PSEUDO_DTYPE))
-            epoch_loss = _output_gate_epoch(x, g, opt, batches, pseudo, epoch)
-            val_recall = _recall_at_k(score_all(x, g), split.train_x, split.val_x)
-            if k == 0:
-                history["out_loss"].append(epoch_loss / max(1, n_pairs + len(pseudo)))
+        order, neg_all = epoch_draws()
+        neg_scores = _pair_scores(x, rb_bint, rb_iint, users_all[order], neg_all)
+        pseudo = [sample_pseudo_triples(split, count, cfg.beta_alpha,
+                                        rng.derive(f"pseudo:{epoch}"))
+                  if count else np.zeros(0, dtype=PSEUDO_DTYPE) for _, count in forks]
+        # Pseudo triples are spread evenly over the batches.
+        per_batch = [max(1, -(-len(p) // n_batches)) if len(p) else 0 for p in pseudo]
+        epoch_loss = [0.0] * len(forks)
+        for k, s in enumerate(range(0, n_pairs, size)):
+            rows, neg = order[s:s + size], neg_all[s:s + size]
+            real = (pos_scores[rows], a_table[pos_all[rows]], neg_scores[s:s + size], a_table[neg])
+            for f, ((g, _), opt) in enumerate(zip(forks, opts)):
+                extra = pseudo[f][k * per_batch[f]:(k + 1) * per_batch[f]]
+                sides = [real, _pseudo_sides(x, extra)] if len(extra) else [real]
+                loss, grad = _output_gate_loss_and_grad(g.w_out, sides)
+                if not np.isfinite(loss):
+                    raise DivergenceError(f"gate loss diverged at epoch {epoch}")
+                epoch_loss[f] += loss
+                opt.step([g.w_out], [grad])
+        for f, (g, _) in enumerate(forks):
+            scores = _score_matrix(x, rb_bint, rb_iint, output_gate(a_table, g.w_out))
+            val_recall = _recall_at_k(scores, split.train_x, split.val_x)
+            if f == 0:
+                history["out_loss"].append(epoch_loss[0] / max(1, n_pairs + len(pseudo[0])))
                 history["out_val_recall"].append(val_recall)
-            if val_recall > best[k][0]:
-                best[k] = (val_recall, g.w_out.copy(), epoch)
+            if val_recall > best[f][0]:
+                best[f] = (val_recall, g.w_out.copy(), epoch)
     for (g, _), (_, w_out, _) in zip(forks, best):
         g.w_out[:] = w_out
     history["out_best_epoch"] = best[0][2]

@@ -43,6 +43,10 @@ CATALOG_KEYS = ("n_users", "n_bundles", "n_items")
 STAGE1_TENSORS = ("e_user", "e_bundle", "e_item")
 GATE_TENSORS = ("w_bint", "w_iint", "w_out", "w_bint_noaug", "w_iint_noaug", "w_out_noaug")
 
+# RunConfig keys that every trained table depends on: the embedding size and
+# the propagation depth.  A checkpoint trained under other values is refused.
+TABLE_KEYS = ("d", "K")
+
 
 def update_manifest(out: Path, cfg: RunConfig, artifacts: dict) -> None:
     path = out / "manifest.json"
@@ -132,9 +136,22 @@ def _denoiser_tensors(prefix: str, den: dif.Denoiser) -> dict:
     return out
 
 
+def _load_stage(cfg: RunConfig, out: Path, stage: str, require) -> dict:
+    """The tensors of `<stage>.ckpt`; a ContractError naming the keys if its
+    header config disagrees with `cfg` on any TABLE_KEYS."""
+    ckpt = load_checkpoint(out / f"{stage}.ckpt", expect_stage=stage, require=require)
+    trained = ckpt.config if isinstance(ckpt.config, dict) else {}
+    stale = [key for key in TABLE_KEYS if trained.get(key) != getattr(cfg, key)]
+    if stale:
+        raise ContractError(
+            f"{stage}.ckpt was trained with "
+            + ", ".join(f"{key}={trained.get(key)!r}" for key in stale)
+            + "; the config asks for " + ", ".join(f"{key}={getattr(cfg, key)!r}" for key in stale))
+    return ckpt.tensors
+
+
 def _load_priors(cfg: RunConfig, out: Path) -> gr.PriorEmbeddings:
-    t = load_checkpoint(out / "stage1.ckpt", expect_stage="stage1",
-                        require=STAGE1_TENSORS).tensors
+    t = _load_stage(cfg, out, "stage1", STAGE1_TENSORS)
     return gr.PriorEmbeddings(*(t[name] for name in STAGE1_TENSORS), K=cfg.K)
 
 
@@ -171,8 +188,7 @@ def run_stage2(cfg: RunConfig, split: ScenarioSplit, out: Path):
 
 def build_experts(cfg: RunConfig, split: ScenarioSplit, out: Path) -> moe.ExpertOutputs:
     emb = _load_priors(cfg, out)
-    t2 = load_checkpoint(out / "stage2.ckpt", expect_stage="stage2",
-                         require=("r_d_bint", "r_d_items")).tensors
+    t2 = _load_stage(cfg, out, "stage2", ("r_d_bint", "r_d_items"))
     view = gr.DualView.of(split)
     ru_b, rb, ru_i, ri, _ = emb.view_reps(view)
     bf, itf = moe.cold_features(split)
@@ -196,8 +212,7 @@ def run_stage3(cfg: RunConfig, split: ScenarioSplit, out: Path):
 
 def load_trained(cfg: RunConfig, split: ScenarioSplit, out: Path):
     """Rebuild (experts, gates, no-aug gates) from the stage-3 checkpoint."""
-    t = load_checkpoint(out / "stage3.ckpt", expect_stage="stage3",
-                        require=GATE_TENSORS + moe.EXPERT_TENSORS).tensors
+    t = _load_stage(cfg, out, "stage3", GATE_TENSORS + moe.EXPERT_TENSORS)
     cat = split.catalog
     agg = gr.membership_matrix(split.z, cat.n_bundles, cat.n_items)
     experts = moe.ExpertOutputs(agg=agg, **{name: t[name] for name in moe.EXPERT_TENSORS})

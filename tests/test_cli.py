@@ -122,6 +122,36 @@ def test_checkpoint_missing_tensor_exits_2(trained, capsys):
     assert "w_out_noaug" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,stage", [(("train", "2"), "stage1"),
+                                           (("train", "3"), "stage1"),
+                                           (("eval",), "stage3")])
+def test_checkpoint_of_other_d_and_K_exits_2(trained, capsys, command, stage):
+    """A run directory trained with d 8 and K 2 is not reused under d 4 and
+    K 5: the first checkpoint read is refused, naming both keys."""
+    before = {p.name: p.read_bytes() for p in trained.glob("stage*.ckpt")}
+    capsys.readouterr()
+    assert _run(trained, "--d", "4", "--K", "5", *command) == 2
+    err = capsys.readouterr().err
+    assert f"{stage}.ckpt was trained with d=8, K=2; the config asks for d=4, K=5" in err
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in trained.glob("stage*.ckpt")} == before
+
+
+def test_stage2_checkpoint_of_other_d_exits_2(trained, capsys):
+    """Stage 3 also reads the stage-2 header: a stage2.ckpt that claims
+    another d is refused even when stage1.ckpt agrees."""
+    ckpt = trained / "stage2.ckpt"
+    original = ckpt.read_bytes()
+    ck = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, ck.stage, {**ck.config, "d": 4}, ck.tensors)
+    capsys.readouterr()
+    try:
+        assert _run(trained, "train", "3") == 2
+    finally:
+        ckpt.write_bytes(original)
+    assert "stage2.ckpt was trained with d=4; the config asks for d=8" in capsys.readouterr().err
+
+
 BAD_CONFIG = [
     ("--stage1-batch", "0"), ("--diff-batch", "0"), ("--stage3-batch", "0"),
     ("--stage3-batch", "-5"), ("--eta", "nan"), ("--eta", "inf"),

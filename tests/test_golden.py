@@ -4,7 +4,9 @@ A small config is trained through `coldbundle train all` and evaluated with
 `--k-eval` below the bundle count, so the top-k partition of the ranking
 kernel and the stage-3 pseudo-triple sampler both run.  It runs in each
 scenario: `cold_start` (eta 0.5), `all_bundle` (eta 0.3) and `warm_start`
-(eta 0, one gate set).  The three
+(eta 0, one gate set).  One more `cold_start` case runs phase two of
+stage 3 in batches of 128: four batches per epoch, the last one short, and
+222 pseudo triples that the four batches do not divide.  The three
 checkpoint payload sha256 values and the sha256 of `metrics.json` without
 its `config` entry must equal the constants below.
 
@@ -51,6 +53,13 @@ EXPECTED_SCENARIOS = {
     },
 }
 
+# cold_start with --stage3-batch 128; stages 1 and 2 do not read the batch.
+EXPECTED_BATCHED = {
+    **EXPECTED,
+    "stage3": "9184fb33c3354d41ab36e78c8eb279a656f4c8d27283f36be129ee877918b3bc",
+    "metrics": "3d6e608411e543f525a71b409abab6cdb4bf6549e898e3d890f464148c6dfb6d",
+}
+
 
 def _payload_sha256(path) -> str:
     with open(path, "rb") as fh:
@@ -80,3 +89,10 @@ def test_golden_scenario_training_is_byte_identical(tmp_path, scenario):
     assert main(["--out", str(tmp_path), *flags, "train", "all"]) == 0
     assert main(["--out", str(tmp_path), *flags, "eval"]) == 0
     assert fingerprint(tmp_path) == EXPECTED_SCENARIOS[scenario]
+
+
+def test_golden_batched_phase_two_is_byte_identical(tmp_path):
+    flags = [*GOLDEN, "--stage3-batch", "128"]
+    assert main(["--out", str(tmp_path), *flags, "train", "all"]) == 0
+    assert main(["--out", str(tmp_path), *flags, "eval"]) == 0
+    assert fingerprint(tmp_path) == EXPECTED_BATCHED

@@ -22,6 +22,7 @@ from coldbundle.moe import (
 from coldbundle.nn import finite_diff_check
 from coldbundle.rng import Rng
 from samplers_reference import UNDERFLOW, sample_pseudo_triples_reference
+from stage3_reference import stage3_loss_reference, train_stage3_reference
 
 
 def _tiny(seed=0, d=6):
@@ -206,10 +207,11 @@ def test_view_phase_gradcheck():
     assert report["max_rel_err"] < 1e-4
 
 
-def test_phase_two_skips_view_gate_gradients_bitwise(monkeypatch):
-    """Phase two asks for the w_out gradient alone; the loss, that gradient,
-    the trained w_out and the phase-two history equal those of the
-    all-gates computation bit for bit."""
+def test_phase_two_skips_view_gate_gradients_bitwise():
+    """view_gates False scores the real triples into the output-gate kernel;
+    its loss and w_out gradient equal those of the all-gates computation bit
+    for bit, and both equal the reference that scores the pseudo triples
+    through two_view_scores."""
     split, x = _tiny()
     gp = GateParams.create(x.d, Rng(9))
     u, bp = split.train_x.rows[:40], split.train_x.cols[:40]
@@ -217,18 +219,36 @@ def test_phase_two_skips_view_gate_gradients_bitwise(monkeypatch):
     pseudo = sample_pseudo_triples(split, 25, 0.9, Rng(9).derive("p"))
     for batch, extra in ((triples, pseudo), (triples, None), ((u[:0],) * 3, pseudo)):
         loss, grads = stage3_loss_and_grads(x, gp, batch, extra, view_gates=False)
-        ref_loss, ref_grads = stage3_loss_and_grads(x, gp, batch, extra)
-        assert loss == ref_loss and grads[:2] == [None, None]
+        all_loss, all_grads = stage3_loss_and_grads(x, gp, batch, extra)
+        ref_loss, ref_grads = stage3_loss_reference(x, gp, batch, extra)
+        assert loss == all_loss == ref_loss and grads[:2] == [None, None]
         np.testing.assert_array_equal(grads[2], ref_grads[2])
+        for got, want in zip(all_grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
 
-    config = RunConfig(eta=0.5, stage3_epochs=3, stage3_batch=32, seed=4)
+
+@pytest.mark.parametrize("eta, batch, chunk", [(0.5, 8, moe.SCORE_CHUNK), (0.5, 3, moe.SCORE_CHUNK),
+                                               (0.5, 8, 3), (0.0, 8, 3)])
+def test_phase_two_equals_reference_bitwise(monkeypatch, eta, batch, chunk):
+    """train_stage3 scores the phase's shared work once and steps both forks
+    side by side; its gate sets and history equal those of the fork-by-fork
+    reference that steps on the all-gates loss.  35 train pairs in batches of
+    8 leave a short last batch and 18 pseudo triples that the 5 batches do
+    not divide; in batches of 3 the last three batches get no pseudo triple.
+    A scoring chunk of 3 rows splits every batch's pseudo triples and the
+    phase-wide scoring into several chunks."""
+    monkeypatch.setattr(moe, "SCORE_CHUNK", chunk)
+    split, x = _tiny()
+    config = RunConfig(eta=eta, stage3_epochs=3, stage3_batch=batch, seed=4)
+    n_pairs = len(split.train_x)
+    n_batches = -(-n_pairs // batch)
+    assert n_pairs % batch and round(0.5 * n_pairs) % n_batches
     gp, gp0, history = train_stage3(split, x, config)
-    all_gates = moe.stage3_loss_and_grads
-    monkeypatch.setattr(moe, "stage3_loss_and_grads",
-                        lambda *args, view_gates: all_gates(*args))
-    ref, ref0, ref_history = train_stage3(split, x, config)
+    ref, ref0, ref_history = train_stage3_reference(split, x, config)
+    assert (gp0 is gp) == (ref0 is ref) == (eta == 0)
     for trained, want in ((gp, ref), (gp0, ref0)):
-        np.testing.assert_array_equal(trained.w_out, want.w_out)
+        for p, q in zip(trained.params(), want.params()):
+            np.testing.assert_array_equal(p, q)
     assert history == ref_history
 
 
