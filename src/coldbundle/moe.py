@@ -307,29 +307,20 @@ def _output_gate_loss_and_grad(w_out: np.ndarray, sides: list, loss: float = 0.0
 
 def stage3_loss_and_grads(x: ExpertOutputs, gp: GateParams,
                           triples: tuple[np.ndarray, np.ndarray, np.ndarray],
-                          pseudo: np.ndarray | None = None, *, view_gates: bool = True):
+                          pseudo: np.ndarray | None = None):
     """Summed ranking loss over real and pseudo triples; exact gate gradients
     [w_bint, w_iint, w_out].
 
     pseudo is a PSEUDO_DTYPE record array.  Pseudo bundles carry a zero cold
     feature, which pins both view gates at [0.5, 0.5], so only the output
-    gate receives their gradient.  view_gates False returns None for the
-    two view gates and scores the real triples straight into the output-gate
-    kernel that phase two of `train_stage3` steps on.
+    gate receives their gradient, through the output-gate kernel that phase
+    two of `train_stage3` steps on.
     """
-    sides = [_pseudo_sides(x, pseudo)] if pseudo is not None and len(pseudo) else []
-    if view_gates:
-        loss, grads = _real_triple_loss_and_grads(x, gp, triples, gp.w_out)
-        loss, grads[2] = _output_gate_loss_and_grad(gp.w_out, sides, loss, grads[2])
-        return loss, grads
-    u, bp, bn = triples
-    rb_bint, rb_iint, _, _ = fused_tables(x, gp)
-    if u.size:
-        a_table = np.concatenate([rb_bint, rb_iint], axis=1)
-        sides.insert(0, (_pair_scores(x, rb_bint, rb_iint, u, bp), a_table[bp],
-                         _pair_scores(x, rb_bint, rb_iint, u, bn), a_table[bn]))
-    loss, grad = _output_gate_loss_and_grad(gp.w_out, sides)
-    return loss, [None, None, grad]
+    loss, grads = _real_triple_loss_and_grads(x, gp, triples, gp.w_out)
+    if pseudo is not None and len(pseudo):
+        loss, grads[2] = _output_gate_loss_and_grad(gp.w_out, [_pseudo_sides(x, pseudo)],
+                                                    loss, grads[2])
+    return loss, grads
 
 
 def sample_pseudo_triples(split: ScenarioSplit, count: int, beta_alpha: float,

@@ -208,22 +208,20 @@ def test_view_phase_gradcheck():
 
 
 def test_phase_two_skips_view_gate_gradients_bitwise():
-    """view_gates False scores the real triples into the output-gate kernel;
-    its loss and w_out gradient equal those of the all-gates computation bit
-    for bit, and both equal the reference that scores the pseudo triples
-    through two_view_scores."""
+    """The all-gates loss adds the pseudo triples through the output-gate
+    kernel that phase two steps on; its loss and gradients equal bit for bit
+    those of the reference that scores the pseudo triples through
+    two_view_scores."""
     split, x = _tiny()
     gp = GateParams.create(x.d, Rng(9))
     u, bp = split.train_x.rows[:40], split.train_x.cols[:40]
     triples = (u, bp, np.roll(bp, 3))
     pseudo = sample_pseudo_triples(split, 25, 0.9, Rng(9).derive("p"))
     for batch, extra in ((triples, pseudo), (triples, None), ((u[:0],) * 3, pseudo)):
-        loss, grads = stage3_loss_and_grads(x, gp, batch, extra, view_gates=False)
-        all_loss, all_grads = stage3_loss_and_grads(x, gp, batch, extra)
+        loss, grads = stage3_loss_and_grads(x, gp, batch, extra)
         ref_loss, ref_grads = stage3_loss_reference(x, gp, batch, extra)
-        assert loss == all_loss == ref_loss and grads[:2] == [None, None]
-        np.testing.assert_array_equal(grads[2], ref_grads[2])
-        for got, want in zip(all_grads, ref_grads):
+        assert loss == ref_loss
+        for got, want in zip(grads, ref_grads):
             np.testing.assert_array_equal(got, want)
 
 
