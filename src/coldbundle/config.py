@@ -73,9 +73,17 @@ class RunConfig:
         if self.schedule not in ("linear", "exp", "cosine"):
             raise ContractError(f"unknown schedule {self.schedule!r}")
         for name in ("d", "K", "T_prime", "top_n", "d_c", "d_time", "k_eval",
-                     "stage1_batch", "diff_batch", "stage3_batch"):
+                     "stage1_batch", "diff_batch", "stage3_batch", "stage1_epochs",
+                     "stage1_patience", "cond_epochs", "diff_epochs", "stage3_epochs",
+                     "synth_bundle_size"):
             if getattr(self, name) < 1:
                 raise ContractError(f"config field {name} must be >= 1")
+        # The synthetic block model draws in-group edges with probability
+        # synth_affinity and needs two groups to draw cross-group ones.
+        if self.synth_groups < 2:
+            raise ContractError("config field synth_groups must be >= 2")
+        if not 0 < self.synth_affinity <= 1:
+            raise ContractError("config field synth_affinity must be in (0, 1]")
         for name in ("stage1_lr", "cond_lr", "diff_lr", "stage3_lr", "stage1_weight_decay"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ContractError(f"config field {name} must be finite and >= 0")

@@ -365,25 +365,22 @@ def make_split(x: InteractionSet, y: InteractionSet, z: InteractionSet,
         held_target = (n_val + n_test) / 2.0
         bundles = np.unique(x.cols)
         order = bundles[rng.permutation(bundles.size)]
-        deg = x.col_degrees(catalog.n_bundles)
-        held = []
-        held_total = 0
-        for b in order.tolist():
-            if held_total >= held_target:
-                break
-            held.append(b)
-            held_total += int(deg[b])  # rounding toward the cold side: may overshoot
-        held_mask_bundle = np.zeros(catalog.n_bundles, dtype=bool)
-        held_mask_bundle[held] = True
-        part = np.zeros(n, dtype=np.int8)
-        # Held-out (cold) bundles: whole bundles go to val or test, 1:2 by interactions.
-        val_cold_target = held_total / 3.0
-        val_cold = 0
-        for b in held:
-            dest = 1 if val_cold < val_cold_target else 2
-            part[x.cols == b] = dest
-            if dest == 1:
-                val_cold += int(deg[b])
+        deg = x.col_degrees(catalog.n_bundles)[order]
+        cum = np.cumsum(deg)
+        # Interactions in the bundles ahead of each one in `order`; strictly
+        # increasing, as every bundle there has one.
+        before = cum - deg
+        # Held-out (cold) bundles: `order` is taken while fewer than
+        # held_target interactions are held, rounding toward the cold side
+        # (the last bundle may overshoot).  Whole held bundles go to val
+        # while val has less than a third of their interactions, then to test.
+        n_held = int(np.searchsorted(before, held_target))
+        held_total = int(cum[n_held - 1]) if n_held else 0
+        n_val_b = int(np.searchsorted(before[:n_held], held_total / 3.0))
+        bundle_part = np.zeros(catalog.n_bundles, dtype=np.int8)
+        bundle_part[order[:n_val_b]] = 1
+        bundle_part[order[n_val_b:n_held]] = 2
+        part = bundle_part[x.cols]
         n_val_cold = int((part == 1).sum())
         n_test_cold = int((part == 2).sum())
         # Warm side: uniform interactions from the remaining bundles.

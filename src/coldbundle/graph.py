@@ -136,22 +136,61 @@ class PriorEmbeddings:
         return ru_b, rb, ru_i, ri, view.agg @ ri
 
 
+# Rows per chunk of the row-wise scoring.  512 x 64 float64 temporaries are
+# 256 KB, which the allocator recycles from chunk to chunk; arrays of a whole
+# 4,096-row batch go back to the kernel when freed and fault in afresh.
+SCORE_CHUNK = 512
+
+
+def row_chunks(n: int):
+    """Slices of SCORE_CHUNK consecutive rows that cover range(n)."""
+    return (slice(s, s + SCORE_CHUNK) for s in range(0, n, SCORE_CHUNK))
+
+
+def view_scores(ru_b: np.ndarray, rb: np.ndarray, ru_i: np.ndarray,
+                rb_i: np.ndarray) -> np.ndarray:
+    """Per-view inner products (n, 2) of aligned user and bundle rows."""
+    return np.stack([np.sum(ru_b * rb, axis=1), np.sum(ru_i * rb_i, axis=1)], axis=1)
+
+
+def pair_scores(ru_b: np.ndarray, rb: np.ndarray, ru_i: np.ndarray, rb_i: np.ndarray,
+                users: np.ndarray, bundles: np.ndarray) -> np.ndarray:
+    """`view_scores` (n, 2) of the (users[k], bundles[k]) rows of both views'
+    user and bundle tables, gathered SCORE_CHUNK rows at a time."""
+    out = np.empty((users.size, 2))
+    for rows in row_chunks(users.size):
+        u, b = users[rows], bundles[rows]
+        out[rows] = view_scores(ru_b[u], rb[b], ru_i[u], rb_i[b])
+    return out
+
+
+def two_view_bpr(ru_b: np.ndarray, rb: np.ndarray, ru_i: np.ndarray, rb_i: np.ndarray,
+                 u: np.ndarray, bp: np.ndarray, bn: np.ndarray):
+    """Summed ranking loss of (user, positive, negative) rows under the
+    two-view score <ru_b[u], rb[b]> + <ru_i[u], rb_i[b]>.  Returns
+    (loss, c, g_rb, g_rb_i): c is dloss/d(pos - neg) per row; g_rb and g_rb_i,
+    the bundle-table gradients, scatter the positive rows, then the negative
+    ones.  User-side gradients are left to the caller."""
+    s_pos = pair_scores(ru_b, rb, ru_i, rb_i, u, bp)
+    s_neg = pair_scores(ru_b, rb, ru_i, rb_i, u, bn)
+    loss, c = bpr_loss(s_pos[:, 0] + s_pos[:, 1], s_neg[:, 0] + s_neg[:, 1])
+    cw = c[:, None]
+    pn = np.concatenate([bp, bn])
+    g_rb, g_rb_i = (scatter_rows(pn, np.concatenate([v := cw * ru[u], -v]), len(rb))
+                    for ru in (ru_b, ru_i))
+    return loss, c, g_rb, g_rb_i
+
+
 def stage1_loss_and_grads(view: DualView, emb: PriorEmbeddings, u: np.ndarray,
                           bp: np.ndarray, bn: np.ndarray):
     """Summed two-view ranking loss of the (user, positive, negative) rows
     and its gradients [e_user, e_bundle, e_item], through the adjoints of
     the aggregation and of propagation."""
     ru_b, rb, ru_i, _, rb_i = emb.view_reps(view)
-    s_pos = np.sum(ru_b[u] * rb[bp], axis=1) + np.sum(ru_i[u] * rb_i[bp], axis=1)
-    s_neg = np.sum(ru_b[u] * rb[bn], axis=1) + np.sum(ru_i[u] * rb_i[bn], axis=1)
-    loss, c = bpr_loss(s_pos, s_neg)
-    n_users, n_bundles = ru_b.shape[0], rb.shape[0]
+    loss, c, g_rb, g_rb_i = two_view_bpr(ru_b, rb, ru_i, rb_i, u, bp, bn)
     cw = c[:, None]
-    pn = np.concatenate([bp, bn])
-    g_ru_b = scatter_rows(u, cw * (rb[bp] - rb[bn]), n_users)
-    g_rb = scatter_rows(pn, np.concatenate([cw * ru_b[u], -cw * ru_b[u]]), n_bundles)
-    g_ru_i = scatter_rows(u, cw * (rb_i[bp] - rb_i[bn]), n_users)
-    g_rb_i = scatter_rows(pn, np.concatenate([cw * ru_i[u], -cw * ru_i[u]]), n_bundles)
+    g_ru_b = scatter_rows(u, cw * (rb[bp] - rb[bn]), ru_b.shape[0])
+    g_ru_i = scatter_rows(u, cw * (rb_i[bp] - rb_i[bn]), ru_i.shape[0])
     g_ri = view.agg_t @ g_rb_i
     g_eu_b, g_eb = propagate_backward(view.gx, emb.K, g_ru_b, g_rb)
     g_eu_i, g_ei = propagate_backward(view.gy, emb.K, g_ru_i, g_ri)

@@ -20,7 +20,8 @@ import scipy.sparse as sp
 from .config import RunConfig
 from .data import PositivesIndex, ScenarioSplit
 from .errors import ContractError, DegenerateSplitError, DivergenceError
-from .graph import _recall_at_k, _sample_negatives, bpr_loss
+from .graph import (_recall_at_k, _sample_negatives, bpr_loss, pair_scores, row_chunks,
+                    two_view_bpr, view_scores)
 from .nn import Adam, scatter_rows
 from .rng import Rng
 
@@ -114,12 +115,6 @@ def output_gate(a_out: np.ndarray, w_out: np.ndarray) -> np.ndarray:
     return np.tanh(np.atleast_2d(a_out) @ w_out.T)
 
 
-def _view_scores(ru_bint: np.ndarray, ru_iint: np.ndarray, fb: np.ndarray,
-                 fi: np.ndarray) -> np.ndarray:
-    """Per-view inner products (n, 2) of aligned user and bundle rows."""
-    return np.stack([np.sum(ru_bint * fb, axis=1), np.sum(ru_iint * fi, axis=1)], axis=1)
-
-
 def _gated(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Scores of rows with output gates g and per-view scores s, both (n, 2)."""
     return g[:, 0] * s[:, 0] + g[:, 1] * s[:, 1]
@@ -131,21 +126,14 @@ def _gate_coef(coef: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def two_view_scores(ru_bint: np.ndarray, ru_iint: np.ndarray, fb: np.ndarray,
-                    fi: np.ndarray, w_out: np.ndarray | None):
+                    fi: np.ndarray, w_out: np.ndarray):
     """Scores of aligned (user, bundle) rows through both views, with a VJP.
 
-    y = g0 <ru_bint, fb> + g1 <ru_iint, fi> with g = tanh([fb, fi] @ w_out.T);
-    w_out None is unit output fusion (g = 1).  Returns (y, vjp), where
-    vjp(coef) gives the gradients of sum(coef * y) as (d_w_out, d_fb, d_fi),
-    d_w_out None under unit fusion.
+    y = g0 <ru_bint, fb> + g1 <ru_iint, fi> with g = tanh([fb, fi] @ w_out.T).
+    Returns (y, vjp), where vjp(coef) gives the gradients of sum(coef * y)
+    as (d_w_out, d_fb, d_fi).  Unit fusion (g = 1) is `graph.two_view_bpr`.
     """
-    s = _view_scores(ru_bint, ru_iint, fb, fi)
-    if w_out is None:
-        def unit_vjp(coef):
-            cw = coef[:, None]
-            return None, cw * ru_bint, cw * ru_iint
-        return s[:, 0] + s[:, 1], unit_vjp
-
+    s = view_scores(ru_bint, fb, ru_iint, fi)
     a_out = np.concatenate([fb, fi], axis=1)
     g = output_gate(a_out, w_out)
 
@@ -208,61 +196,21 @@ def interpolate_pseudo(x: ExpertOutputs, bx: np.ndarray, by: np.ndarray,
                  for t in (x.r_e_bint, x.r_d_bint, x.r_e_iint_b, x.r_d_iint_b))
 
 
-def _gate_grad_from_rep_grads(G, r_e, r_d, w, features):
-    """Fold per-entity fused-rep gradients into the (2, 1) gate matrix."""
-    p_e = np.sum(G * r_e, axis=1)
-    p_d = np.sum(G * r_d, axis=1)
-    pbar = w[:, 0] * p_e + w[:, 1] * p_d
-    glog_e = w[:, 0] * (p_e - pbar)
-    glog_d = w[:, 1] * (p_d - pbar)
-    return np.array([[np.sum(glog_e * features)], [np.sum(glog_d * features)]])
-
-
-def _real_triple_loss_and_grads(x: ExpertOutputs, gp: GateParams, triples,
-                                w_out: np.ndarray | None):
-    """Summed ranking loss of real triples scored by `two_view_scores`, and
-    its gradients [w_bint, w_iint, w_out] (w_out None: unit output fusion,
-    zero output-gate gradient)."""
-    u, bp, bn = triples
-    rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
-    n_bundles = x.r_e_bint.shape[0]
-    GB = np.zeros_like(x.r_e_bint)
-    GI = np.zeros_like(x.r_e_iint_b)
-    g_w_out = np.zeros_like(gp.w_out)
-    loss = 0.0
-    if u.size:
-        ru1, ru2 = x.ru_bint[u], x.ru_iint[u]
-        y_pos, vjp_pos = two_view_scores(ru1, ru2, rb_bint[bp], rb_iint[bp], w_out)
-        y_neg, vjp_neg = two_view_scores(ru1, ru2, rb_bint[bn], rb_iint[bn], w_out)
-        loss, c = bpr_loss(y_pos, y_neg)
-        d_pos, d_neg = vjp_pos(c), vjp_neg(-c)
-        for d_w in (d_pos[0], d_neg[0]):
-            if d_w is not None:
-                g_w_out += d_w
-        b = np.concatenate([bp, bn])
-        GB = scatter_rows(b, np.concatenate([d_pos[1], d_neg[1]]), n_bundles)
-        GI = scatter_rows(b, np.concatenate([d_pos[2], d_neg[2]]), n_bundles)
-    g_w_bint = _gate_grad_from_rep_grads(GB, x.r_e_bint, x.r_d_bint, w_b, x.bundle_feature)
-    GI_items = x.agg.T @ GI
-    g_w_iint = _gate_grad_from_rep_grads(GI_items, x.r_e_items, x.r_d_items, w_i, x.item_feature)
-    return loss, [g_w_bint, g_w_iint, g_w_out]
-
-
-# Rows per chunk of the row-wise scoring.  512 x 64 float64 temporaries are
-# 256 KB, which the allocator recycles from chunk to chunk; arrays of a whole
-# 4,096-row batch go back to the kernel when freed and fault in afresh.
-SCORE_CHUNK = 512
-
-
-def _pair_scores(x: ExpertOutputs, rb_bint: np.ndarray, rb_iint: np.ndarray,
-                 users: np.ndarray, bundles: np.ndarray) -> np.ndarray:
-    """`_view_scores` (n, 2) of aligned (user, bundle) rows of the fused
-    tables, gathered SCORE_CHUNK rows at a time."""
-    out = np.empty((users.size, 2))
-    for s in range(0, users.size, SCORE_CHUNK):
-        u, b = users[s:s + SCORE_CHUNK], bundles[s:s + SCORE_CHUNK]
-        out[s:s + SCORE_CHUNK] = _view_scores(x.ru_bint[u], x.ru_iint[u], rb_bint[b], rb_iint[b])
-    return out
+def _view_gate_grads(x: ExpertOutputs, w_b: np.ndarray, w_i: np.ndarray,
+                     g_rb_bint: np.ndarray, g_rb_iint: np.ndarray) -> list[np.ndarray]:
+    """Gradients [w_bint, w_iint] of the view gates from those of the fused
+    bundle tables; the item view's goes back through the aggregation first."""
+    grads = []
+    for G, r_e, r_d, w, features in (
+            (g_rb_bint, x.r_e_bint, x.r_d_bint, w_b, x.bundle_feature),
+            (x.agg.T @ g_rb_iint, x.r_e_items, x.r_d_items, w_i, x.item_feature)):
+        p_e = np.sum(G * r_e, axis=1)
+        p_d = np.sum(G * r_d, axis=1)
+        pbar = w[:, 0] * p_e + w[:, 1] * p_d
+        glog_e = w[:, 0] * (p_e - pbar)
+        glog_d = w[:, 1] * (p_d - pbar)
+        grads.append(np.array([[np.sum(glog_e * features)], [np.sum(glog_d * features)]]))
+    return grads
 
 
 def _pseudo_sides(x: ExpertOutputs, pseudo: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -275,15 +223,15 @@ def _pseudo_sides(x: ExpertOutputs, pseudo: np.ndarray) -> tuple[np.ndarray, ...
     sides = []
     for side in ("pos", "neg"):
         scores, a_out = np.empty((len(pseudo), 2)), np.empty((len(pseudo), 2 * d))
-        for s in range(0, len(pseudo), SCORE_CHUNK):
-            part, a = pseudo[s:s + SCORE_CHUNK], a_out[s:s + SCORE_CHUNK]
+        for rows in row_chunks(len(pseudo)):
+            part, a = pseudo[rows], a_out[rows]
             e_b, d_b, e_i, d_i = interpolate_pseudo(
                 x, part[side + "_x"], part[side + "_y"], part[side + "_lam"])
             np.add(e_b, d_b, out=a[:, :d])
             np.add(e_i, d_i, out=a[:, d:])
             a *= 0.5
-            scores[s:s + SCORE_CHUNK] = _view_scores(x.ru_bint[part["u"]], x.ru_iint[part["u"]],
-                                                     a[:, :d], a[:, d:])
+            u = part["u"]
+            scores[rows] = view_scores(x.ru_bint[u], a[:, :d], x.ru_iint[u], a[:, d:])
         sides += [scores, a_out]
     return tuple(sides)
 
@@ -316,7 +264,17 @@ def stage3_loss_and_grads(x: ExpertOutputs, gp: GateParams,
     gate receives their gradient, through the output-gate kernel that phase
     two of `train_stage3` steps on.
     """
-    loss, grads = _real_triple_loss_and_grads(x, gp, triples, gp.w_out)
+    u, bp, bn = triples
+    rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
+    ru1, ru2 = x.ru_bint[u], x.ru_iint[u]
+    y_pos, vjp_pos = two_view_scores(ru1, ru2, rb_bint[bp], rb_iint[bp], gp.w_out)
+    y_neg, vjp_neg = two_view_scores(ru1, ru2, rb_bint[bn], rb_iint[bn], gp.w_out)
+    loss, c = bpr_loss(y_pos, y_neg)
+    d_pos, d_neg = vjp_pos(c), vjp_neg(-c)
+    b = np.concatenate([bp, bn])
+    g_rb_bint, g_rb_iint = (scatter_rows(b, np.concatenate([p, n]), len(rb_bint))
+                            for p, n in zip(d_pos[1:], d_neg[1:]))
+    grads = _view_gate_grads(x, w_b, w_i, g_rb_bint, g_rb_iint) + [d_pos[0] + d_neg[0]]
     if pseudo is not None and len(pseudo):
         loss, grads[2] = _output_gate_loss_and_grad(gp.w_out, [_pseudo_sides(x, pseudo)],
                                                     loss, grads[2])
@@ -372,10 +330,11 @@ def sample_pseudo_triples(split: ScenarioSplit, count: int, beta_alpha: float,
 
 def _view_phase_loss_and_grads(x: ExpertOutputs, gp: GateParams,
                                triples: tuple[np.ndarray, np.ndarray, np.ndarray]):
-    """Ranking loss with unit output fusion (y = s_bint + s_iint); gradients
-    flow to the view gates only."""
-    loss, grads = _real_triple_loss_and_grads(x, gp, triples, None)
-    return loss, grads[:2]
+    """Ranking loss with unit output fusion (y = s_bint + s_iint), that is
+    `graph.two_view_bpr` on the fused tables; gradients reach the view gates."""
+    rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
+    loss, _, g_rb_bint, g_rb_iint = two_view_bpr(x.ru_bint, rb_bint, x.ru_iint, rb_iint, *triples)
+    return loss, _view_gate_grads(x, w_b, w_i, g_rb_bint, g_rb_iint)
 
 
 def _epoch_negatives(rng: Rng, users: np.ndarray, warm_bundles: np.ndarray,
@@ -453,7 +412,7 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
     # negatives once for both forks.
     rb_bint, rb_iint, _, _ = fused_tables(x, gp)
     a_table = np.concatenate([rb_bint, rb_iint], axis=1)
-    pos_scores = _pair_scores(x, rb_bint, rb_iint, users_all, pos_all)
+    pos_scores = pair_scores(x.ru_bint, rb_bint, x.ru_iint, rb_iint, users_all, pos_all)
     forks = [(gp, n_pseudo)]
     if n_pseudo:
         forks.append((GateParams(gp.w_bint.copy(), gp.w_iint.copy(), gp.w_out.copy()), 0))
@@ -461,7 +420,7 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
     best = [(-1.0, g.w_out.copy(), -1) for g, _ in forks]
     for epoch in range(cfg.stage3_epochs):
         order, neg_all = epoch_draws()
-        neg_scores = _pair_scores(x, rb_bint, rb_iint, users_all[order], neg_all)
+        neg_scores = pair_scores(x.ru_bint, rb_bint, x.ru_iint, rb_iint, users_all[order], neg_all)
         pseudo = [sample_pseudo_triples(split, count, cfg.beta_alpha,
                                         rng.derive(f"pseudo:{epoch}"))
                   if count else np.zeros(0, dtype=PSEUDO_DTYPE) for _, count in forks]

@@ -160,6 +160,11 @@ BAD_CONFIG = [
     ("--diff-lr", "nan"), ("--stage3-lr", "-0.5"), ("--stage1-weight-decay", "nan"),
     ("--stage1-weight-decay", "-0.5"), ("--eta", "1e9"), ("--eta", "10.5"),
     ("--T", "1"), ("--T-prime", "11"), ("--d-time", "7"),
+    ("--stage1-epochs", "-2"), ("--stage1-epochs", "0"), ("--stage1-patience", "0"),
+    ("--cond-epochs", "0"), ("--diff-epochs", "0"), ("--stage3-epochs", "-1"),
+    ("--stage3-epochs", "0"), ("--synth-bundle-size", "-3"), ("--synth-bundle-size", "0"),
+    ("--synth-groups", "1"), ("--synth-affinity", "5"), ("--synth-affinity", "nan"),
+    ("--synth-affinity", "0"), ("--synth-affinity", "-0.1"),
     ("--config", '{"d": "x"}'), ("--config", '{"d": 1.5}'), ("--config", '{"d": true}'),
     ("--config", '{"seed": null}'), ("--config", '{"eta": "0.5"}'),
     ("--config", '{"scenario": 3}'), ("--config", '{"seed": 3,'), ("--config", "[1]"),
@@ -168,9 +173,10 @@ BAD_CONFIG = [
 
 @pytest.mark.parametrize("flag,value", BAD_CONFIG)
 def test_bad_config_value_exits_2(tmp_path, capsys, time_limit, flag, value):
-    """Values that used to crash or hang a stage, or fail it with an error
-    that names no setting, and config files that are not a JSON object,
-    are refused up front; a refused flag's field is named."""
+    """Values that used to crash or hang a stage, leave it silently
+    untrained, or fail it with an error that names no setting, and config
+    files that are not a JSON object, are refused up front; a refused
+    flag's field is named."""
     if flag == "--config":
         # The file alone: MICRO's --d would override its value.
         (tmp_path / "cfg.json").write_text(value)

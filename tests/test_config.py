@@ -18,3 +18,6 @@ def test_bounds_admit_their_edges():
     assert RunConfig(eta=10).effective_eta == 10
     edge = RunConfig(T=2, T_prime=2, d_time=2)
     assert (edge.T, edge.T_prime, edge.d_time) == (2, 2, 2)
+    RunConfig(stage1_epochs=1, stage1_patience=1, cond_epochs=1, diff_epochs=1,
+              stage3_epochs=1, synth_bundle_size=1, synth_groups=2, synth_affinity=1)
+    assert RunConfig(synth_affinity=5e-324).synth_affinity > 0

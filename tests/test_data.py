@@ -13,6 +13,7 @@ from coldbundle.data import (
     synth_blockmodel,
 )
 from coldbundle.errors import BoundsError, ContractError, DegenerateSplitError, ParseError
+from coldbundle.rng import Rng
 from oracles import pair_set
 
 
@@ -300,6 +301,55 @@ def test_synth_blockmodel_shapes_and_determinism():
     assert pair_set(x) == pair_set(x2)
     with pytest.raises(ContractError):
         synth_blockmodel(10, 10, 5, 1, 3, 0.3, 0)
+
+
+def all_bundle_parts_reference(x, catalog, ratios, seed):
+    """Each interaction's part (0 train, 1 val, 2 test) under the all_bundle
+    split as a loop over bundles: held-out bundles are taken in permuted
+    order, and each one's interactions are found by a scan of x."""
+    rng = Rng(seed).derive("split:all_bundle")
+    n = len(x)
+    _, n_val, n_test = data._split_counts(n, ratios)
+    held_target = (n_val + n_test) / 2.0
+    bundles = np.unique(x.cols)
+    order = bundles[rng.permutation(bundles.size)]
+    deg = x.col_degrees(catalog.n_bundles)
+    held, held_total = [], 0
+    for b in order.tolist():
+        if held_total >= held_target:
+            break
+        held.append(b)
+        held_total += int(deg[b])
+    part = np.zeros(n, dtype=np.int8)
+    val_cold_target, val_cold = held_total / 3.0, 0
+    for b in held:
+        dest = 1 if val_cold < val_cold_target else 2
+        part[x.cols == b] = dest
+        if dest == 1:
+            val_cold += int(deg[b])
+    warm_idx = np.flatnonzero(part == 0)
+    need_val = max(n_val - int((part == 1).sum()), 0)
+    need_test = max(n_test - int((part == 2).sum()), 0)
+    pick = warm_idx[rng.permutation(warm_idx.size)[:need_val + need_test]]
+    part[pick[:need_val]] = 1
+    part[pick[need_val:]] = 2
+    return part
+
+
+@pytest.mark.parametrize("ratios", [(0.7, 0.1, 0.2), (0.5, 0.25, 0.25), (0.9, 0.05, 0.05),
+                                    (0.6, 0.0, 0.4), (0.98, 0.01, 0.01)])
+def test_all_bundle_split_equals_loop_reference(ratios):
+    """The held-out bundles and their val/test halves, found by two
+    searches over cumulative degrees, are the bundle loop's, for several
+    seeds and ratios, down to a single held-out bundle.  In some cases the
+    held or the val interactions reach their target exactly (seed 11 at
+    0.7/0.1/0.2; seeds 1, 8 and 9 at 0.6/0/0.4), where the loop stops."""
+    for seed in range(12):
+        cat, x, y, z = _toy(seed=seed, n_users=40, n_bundles=16)
+        part = all_bundle_parts_reference(x, cat, ratios, seed)
+        split = make_split(x, y, z, cat, Scenario.ALL_BUNDLE, ratios, seed)
+        for k, got in enumerate((split.train_x, split.val_x, split.test_x)):
+            assert pair_set(got) == set(zip(x.rows[part == k].tolist(), x.cols[part == k].tolist()))
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from coldbundle import graph
 from coldbundle.config import RunConfig
 from coldbundle.data import (
     InteractionSet, Kind, PositivesIndex, Scenario, make_split, synth_blockmodel,
@@ -16,7 +17,7 @@ from coldbundle.graph import (
     membership_matrix, normalize_adjacency, propagate, propagate_backward,
     stage1_loss_and_grads, train_stage1,
 )
-from coldbundle.nn import finite_diff_check
+from coldbundle.nn import finite_diff_check, scatter_rows
 from coldbundle.rng import Rng
 from samplers_reference import pos_sets_of, sample_negatives_reference
 
@@ -150,6 +151,50 @@ def test_stage1_loss_and_grads_gradcheck():
     assert report["max_rel_err"] < 1e-4
     # cold bundles are outside the user-bundle graph: no gradient reaches them
     assert not np.any(grads[1][split.bundle_bint_cold])
+
+
+def stage1_loss_reference(view, emb, u, bp, bn):
+    """`stage1_loss_and_grads` as it was before `two_view_bpr`: the two-view
+    scores summed over whole rows and every scatter written inline."""
+    ru_b, rb, ru_i, _, rb_i = emb.view_reps(view)
+    s_pos = np.sum(ru_b[u] * rb[bp], axis=1) + np.sum(ru_i[u] * rb_i[bp], axis=1)
+    s_neg = np.sum(ru_b[u] * rb[bn], axis=1) + np.sum(ru_i[u] * rb_i[bn], axis=1)
+    loss, c = bpr_loss(s_pos, s_neg)
+    n_users, n_bundles = ru_b.shape[0], rb.shape[0]
+    cw = c[:, None]
+    pn = np.concatenate([bp, bn])
+    g_ru_b = scatter_rows(u, cw * (rb[bp] - rb[bn]), n_users)
+    g_rb = scatter_rows(pn, np.concatenate([cw * ru_b[u], -cw * ru_b[u]]), n_bundles)
+    g_ru_i = scatter_rows(u, cw * (rb_i[bp] - rb_i[bn]), n_users)
+    g_rb_i = scatter_rows(pn, np.concatenate([cw * ru_i[u], -cw * ru_i[u]]), n_bundles)
+    g_ri = view.agg_t @ g_rb_i
+    g_eu_b, g_eb = propagate_backward(view.gx, emb.K, g_ru_b, g_rb)
+    g_eu_i, g_ei = propagate_backward(view.gy, emb.K, g_ru_i, g_ri)
+    return loss, [g_eu_b + g_eu_i, g_eb, g_ei]
+
+
+@pytest.mark.parametrize("chunk", [graph.SCORE_CHUNK, 3])
+def test_stage1_loss_equals_reference_bitwise(monkeypatch, chunk):
+    """Stage 1 steps on `two_view_bpr`, whose scores are summed a chunk of
+    rows at a time; its loss and gradients equal the inline reference's bit
+    for bit on a batch of 1,100 rows, which spans three default chunks and
+    ends inside one."""
+    monkeypatch.setattr(graph, "SCORE_CHUNK", chunk)
+    split = _tiny_split(0)
+    cat = split.catalog
+    rng = Rng(11)
+    emb = PriorEmbeddings(rng.normal((cat.n_users, 16)), rng.normal((cat.n_bundles, 16)),
+                          rng.normal((cat.n_items, 16)), K=2)
+    view = DualView.of(split)
+    n = 1100
+    assert n > chunk and n % chunk
+    u = rng.integers(n, 0, cat.n_users)
+    bp, bn = rng.integers(n, 0, cat.n_bundles), rng.integers(n, 0, cat.n_bundles)
+    loss, grads = stage1_loss_and_grads(view, emb, u, bp, bn)
+    ref_loss, ref_grads = stage1_loss_reference(view, emb, u, bp, bn)
+    assert loss == ref_loss
+    for got, want in zip(grads, ref_grads):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_stage1_cold_bundles_keep_init_embedding():

@@ -8,18 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from coldbundle import moe
+from coldbundle import graph, moe
 from coldbundle.config import RunConfig
 from coldbundle.data import Catalog, InteractionSet, Kind, Scenario, make_split, synth_blockmodel
 from coldbundle.errors import ContractError, DegenerateSplitError
-from coldbundle.graph import membership_matrix
+from coldbundle.graph import bpr_loss, membership_matrix, pair_scores
 from coldbundle.moe import (
     ExpertOutputs, GateParams, cold_features, fuse, fused_tables,
     gate_dump_rows, interpolate_pseudo, output_gate,
     sample_pseudo_triples, score_all, score_all_no_diff, score_all_no_moe,
     stage3_loss_and_grads, train_stage3, two_view_scores, view_gate,
 )
-from coldbundle.nn import finite_diff_check
+from coldbundle.nn import finite_diff_check, scatter_rows
 from coldbundle.rng import Rng
 from samplers_reference import UNDERFLOW, sample_pseudo_triples_reference
 from stage3_reference import stage3_loss_reference, train_stage3_reference
@@ -129,10 +129,10 @@ def test_predict_matches_hand_oracle():
     np.testing.assert_allclose(y, [predict(a, c, x, gp) for a, c in zip(us, bs)],
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(y, scores[us, bs], rtol=0, atol=1e-12)
-    # unit output fusion sums the two views
-    y, _ = two_view_scores(x.ru_bint[us], x.ru_iint[us], rb_bint[bs], rb_iint[bs], None)
+    # unit output fusion, phase one's score, sums the two views
+    s = pair_scores(x.ru_bint, rb_bint, x.ru_iint, rb_iint, us, bs)
     np.testing.assert_allclose(
-        y, np.sum(x.ru_bint[us] * rb_bint[bs], axis=1)
+        s[:, 0] + s[:, 1], np.sum(x.ru_bint[us] * rb_bint[bs], axis=1)
         + np.sum(x.ru_iint[us] * rb_iint[bs], axis=1), rtol=0, atol=1e-12)
 
 
@@ -207,6 +207,57 @@ def test_view_phase_gradcheck():
     assert report["max_rel_err"] < 1e-4
 
 
+def view_phase_reference(x, gp, triples):
+    """Phase one's loss and view-gate gradients as they were before
+    `graph.two_view_bpr`: unit-fusion scores and VJPs of the fused rows, the
+    bundle-side scatters, and the fold into each (2, 1) gate matrix."""
+    u, bp, bn = triples
+    rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
+    ru1, ru2 = x.ru_bint[u], x.ru_iint[u]
+
+    def unit_scores(fb, fi):
+        s = np.stack([np.sum(ru1 * fb, axis=1), np.sum(ru2 * fi, axis=1)], axis=1)
+        return s[:, 0] + s[:, 1], lambda coef: (coef[:, None] * ru1, coef[:, None] * ru2)
+
+    def gate_grad(G, r_e, r_d, w, features):
+        p_e = np.sum(G * r_e, axis=1)
+        p_d = np.sum(G * r_d, axis=1)
+        pbar = w[:, 0] * p_e + w[:, 1] * p_d
+        glog_e = w[:, 0] * (p_e - pbar)
+        glog_d = w[:, 1] * (p_d - pbar)
+        return np.array([[np.sum(glog_e * features)], [np.sum(glog_d * features)]])
+
+    y_pos, vjp_pos = unit_scores(rb_bint[bp], rb_iint[bp])
+    y_neg, vjp_neg = unit_scores(rb_bint[bn], rb_iint[bn])
+    loss, c = bpr_loss(y_pos, y_neg)
+    d_pos, d_neg = vjp_pos(c), vjp_neg(-c)
+    b, n_bundles = np.concatenate([bp, bn]), x.r_e_bint.shape[0]
+    GB = scatter_rows(b, np.concatenate([d_pos[0], d_neg[0]]), n_bundles)
+    GI = scatter_rows(b, np.concatenate([d_pos[1], d_neg[1]]), n_bundles)
+    return loss, [gate_grad(GB, x.r_e_bint, x.r_d_bint, w_b, x.bundle_feature),
+                  gate_grad(x.agg.T @ GI, x.r_e_items, x.r_d_items, w_i, x.item_feature)]
+
+
+@pytest.mark.parametrize("chunk", [graph.SCORE_CHUNK, 3])
+def test_view_phase_equals_reference_bitwise(monkeypatch, chunk):
+    """Phase one steps on `graph.two_view_bpr` of the fused tables, whose
+    scores are summed a chunk of rows at a time; its loss and view-gate
+    gradients equal the reference's bit for bit on a batch of 1,100 rows,
+    which crosses chunk boundaries and ends inside a chunk."""
+    monkeypatch.setattr(graph, "SCORE_CHUNK", chunk)
+    split, x = _tiny(d=16)
+    gp = GateParams.create(x.d, Rng(12))
+    cat, rng, n = split.catalog, Rng(12).derive("rows"), 1100
+    assert n > chunk and n % chunk
+    triples = (rng.integers(n, 0, cat.n_users), rng.integers(n, 0, cat.n_bundles),
+               rng.integers(n, 0, cat.n_bundles))
+    loss, grads = moe._view_phase_loss_and_grads(x, gp, triples)
+    ref_loss, ref_grads = view_phase_reference(x, gp, triples)
+    assert loss == ref_loss
+    for got, want in zip(grads, ref_grads):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_phase_two_skips_view_gate_gradients_bitwise():
     """The all-gates loss adds the pseudo triples through the output-gate
     kernel that phase two steps on; its loss and gradients equal bit for bit
@@ -225,7 +276,8 @@ def test_phase_two_skips_view_gate_gradients_bitwise():
             np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("eta, batch, chunk", [(0.5, 8, moe.SCORE_CHUNK), (0.5, 3, moe.SCORE_CHUNK),
+@pytest.mark.parametrize("eta, batch, chunk", [(0.5, 8, graph.SCORE_CHUNK),
+                                               (0.5, 3, graph.SCORE_CHUNK),
                                                (0.5, 8, 3), (0.0, 8, 3)])
 def test_phase_two_equals_reference_bitwise(monkeypatch, eta, batch, chunk):
     """train_stage3 scores the phase's shared work once and steps both forks
@@ -235,7 +287,7 @@ def test_phase_two_equals_reference_bitwise(monkeypatch, eta, batch, chunk):
     not divide; in batches of 3 the last three batches get no pseudo triple.
     A scoring chunk of 3 rows splits every batch's pseudo triples and the
     phase-wide scoring into several chunks."""
-    monkeypatch.setattr(moe, "SCORE_CHUNK", chunk)
+    monkeypatch.setattr(graph, "SCORE_CHUNK", chunk)
     split, x = _tiny()
     config = RunConfig(eta=eta, stage3_epochs=3, stage3_batch=batch, seed=4)
     n_pairs = len(split.train_x)
