@@ -4,7 +4,7 @@ One binary, subcommand style: ``ingest, stats, split, train, eval, hits,
 gates, project, synth``.  Configuration comes from an optional JSON file
 (``--config``); individual flags override file values and the effective
 config is echoed into every checkpoint and report.  Exit codes: 0 success,
-2 contract or stage-ordering violations, 1 I/O problems.
+2 contract or stage-ordering violations, 1 I/O problems or out of memory.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .checkpoint import read_json, write_json
-from .config import field_type
+from .config import field_bound, field_type
 from .data import cold_stats, ingest_remap
 from .errors import ColdBundleError, ContractError, ParseError
 
@@ -25,11 +25,13 @@ log = logging.getLogger(__name__)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One override flag per config field, defaults shown in --help."""
+    """One override flag per config field; --help shows its bound and default."""
     for f in dataclasses.fields(pl.RunConfig):
         flag = "--" + f.name.replace("_", "-")
+        bound = field_bound(f)
+        within = "" if bound is None else f" in {bound}"
         parser.add_argument(flag, type=field_type(f), default=None,
-                            help=f"config key {f.name} (default: {f.default})")
+                            help=f"config key {f.name}{within} (default: {f.default})")
 
 
 def _build_config(args) -> pl.RunConfig:
@@ -177,6 +179,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -11,9 +11,35 @@ from .errors import ContractError
 
 SCENARIO_ETA = {"warm_start": 0.0, "all_bundle": 0.3, "cold_start": 0.5}
 
-# Largest eta accepted: stage 3 draws eta pseudo triples per real triple in
-# every phase-two epoch, so its time and memory grow linearly with eta.
-MAX_ETA = 10.0
+
+@dataclass(frozen=True)
+class Bound:
+    """The interval lo..hi with each end closed ('[', ']') or open ('(', ')')
+    as `ends` says, or else the set `choices`."""
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "[)"
+    choices: tuple[str, ...] = ()
+
+    def admits(self, value) -> bool:
+        if self.choices:
+            return value in self.choices
+        above = self.lo < value if self.ends[0] == "(" else self.lo <= value
+        below = value < self.hi if self.ends[1] == ")" else value <= self.hi
+        return above and below
+
+    def __str__(self) -> str:
+        if self.choices:
+            return "{" + ", ".join(self.choices) + "}"
+        return f"{self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}"
+
+
+def _with(default, bound: Bound):
+    return dataclasses.field(default=default, metadata={"bound": bound})
+
+
+def field_bound(f: dataclasses.Field) -> Bound | None:
+    return f.metadata.get("bound")
 
 
 def field_type(f: dataclasses.Field) -> type:
@@ -21,43 +47,55 @@ def field_type(f: dataclasses.Field) -> type:
     return {"int": int, "float": float}.get(f.type.removesuffix(" | None"), str)
 
 
+COUNT = Bound(1)       # sizes, steps, epochs and batches
+RATE = Bound(0)        # learning rates and weight decay: finite and >= 0
+UNIT = Bound(0, 1, "(]")
+
+
 @dataclass
 class RunConfig:
     """Effective configuration; every field is overridable from the CLI."""
-    scenario: str = "cold_start"
+    scenario: str = _with("cold_start", Bound(choices=tuple(SCENARIO_ETA)))
     seed: int = 0
     data_dir: str | None = None   # dense TSVs; omitted -> synthetic dataset
-    synth_users: int = 400
-    synth_items: int = 800
-    synth_bundles: int = 200
-    synth_groups: int = 4
-    synth_bundle_size: int = 10
-    synth_affinity: float = 0.3
-    d: int = 64                   # embedding size
-    K: int = 2                    # propagation depth
-    T: int = 500                  # diffusion steps
-    T_prime: int = 20             # strided sampling steps
-    schedule: str = "linear"
-    top_n: int = 5                # anchor neighborhood size
-    d_c: int = 64                 # condition dimension
-    d_time: int = 64
-    eta: float | None = None      # pseudo-to-real triple ratio; None -> per-scenario default
-    beta_alpha: float = 0.9
-    stage1_lr: float = 0.05
-    stage1_weight_decay: float = 1e-5
-    stage1_epochs: int = 100
-    stage1_patience: int = 15
-    stage1_batch: int = 512
-    cond_epochs: int = 30
-    cond_lr: float = 0.05
-    diff_epochs: int = 300
-    diff_lr: float = 1e-3
-    diff_batch: int = 128
-    diff_hidden: int | None = None
-    stage3_lr: float = 0.02
-    stage3_epochs: int = 150
-    stage3_batch: int = 4096
-    k_eval: int = 20
+    synth_users: int = _with(400, COUNT)
+    synth_items: int = _with(800, COUNT)
+    synth_bundles: int = _with(200, COUNT)
+    # The synthetic block model draws in-group edges with probability
+    # synth_affinity and needs two groups to draw cross-group ones.
+    synth_groups: int = _with(4, Bound(2))
+    synth_bundle_size: int = _with(10, COUNT)
+    synth_affinity: float = _with(0.3, UNIT)
+    d: int = _with(64, COUNT)                # embedding size
+    K: int = _with(2, COUNT)                 # propagation depth
+    # The noise schedule and the strided sampler need two diffusion steps.
+    T: int = _with(500, Bound(2))
+    T_prime: int = _with(20, COUNT)          # strided sampling steps
+    schedule: str = _with("linear", Bound(choices=("linear", "exp", "cosine")))
+    top_n: int = _with(5, COUNT)             # anchor neighborhood size
+    d_c: int = _with(64, COUNT)              # condition dimension
+    d_time: int = _with(64, COUNT)
+    # Pseudo-to-real triple ratio; None -> per-scenario default. Stage 3's
+    # time and memory per phase-two epoch grow linearly with it.
+    eta: float | None = _with(None, Bound(0, 10, "[]"))
+    # Johnk's beta sampler accepts a draw with probability
+    # G(a+1)^2 / G(2a+1): at least 1/2 for a <= 1, 1/184,756 at a = 10.
+    beta_alpha: float = _with(0.9, UNIT)
+    stage1_lr: float = _with(0.05, RATE)
+    stage1_weight_decay: float = _with(1e-5, RATE)
+    stage1_epochs: int = _with(100, COUNT)
+    stage1_patience: int = _with(15, COUNT)
+    stage1_batch: int = _with(512, COUNT)
+    cond_epochs: int = _with(30, COUNT)
+    cond_lr: float = _with(0.05, RATE)
+    diff_epochs: int = _with(300, COUNT)
+    diff_lr: float = _with(1e-3, RATE)
+    diff_batch: int = _with(128, COUNT)
+    diff_hidden: int | None = _with(None, COUNT)   # None -> 4 * d
+    stage3_lr: float = _with(0.02, RATE)
+    stage3_epochs: int = _with(150, COUNT)
+    stage3_batch: int = _with(4096, COUNT)
+    k_eval: int = _with(20, COUNT)
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -68,39 +106,14 @@ class RunConfig:
             accepted = (int, float) if typ is float else typ
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ContractError(f"config field {f.name} must be {f.type}, got {value!r}")
-        if self.scenario not in SCENARIO_ETA:
-            raise ContractError(f"unknown scenario {self.scenario!r}")
-        if self.schedule not in ("linear", "exp", "cosine"):
-            raise ContractError(f"unknown schedule {self.schedule!r}")
-        for name in ("d", "K", "T_prime", "top_n", "d_c", "d_time", "k_eval",
-                     "stage1_batch", "diff_batch", "stage3_batch", "stage1_epochs",
-                     "stage1_patience", "cond_epochs", "diff_epochs", "stage3_epochs",
-                     "synth_bundle_size"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"config field {name} must be >= 1")
-        # The synthetic block model draws in-group edges with probability
-        # synth_affinity and needs two groups to draw cross-group ones.
-        if self.synth_groups < 2:
-            raise ContractError("config field synth_groups must be >= 2")
-        if not 0 < self.synth_affinity <= 1:
-            raise ContractError("config field synth_affinity must be in (0, 1]")
-        for name in ("stage1_lr", "cond_lr", "diff_lr", "stage3_lr", "stage1_weight_decay"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ContractError(f"config field {name} must be finite and >= 0")
-        if self.eta is not None and not 0 <= self.eta <= MAX_ETA:
-            raise ContractError(f"eta must be in [0, {MAX_ETA:g}]")
-        # What stage 2's noise schedule, strided sampler and sine-cosine
-        # time embedding need.
-        if self.T < 2:
-            raise ContractError("config field T must be >= 2")
+            bound = field_bound(f)
+            if bound is not None and not bound.admits(value):
+                raise ContractError(f"config field {f.name} must be in {bound}, got {value!r}")
         if self.T_prime > self.T:
             raise ContractError("config field T_prime must be <= T")
+        # The sine-cosine time embedding has d_time / 2 columns of each.
         if self.d_time % 2:
             raise ContractError("config field d_time must be even")
-        # Johnk's beta sampler accepts a draw with probability
-        # G(a+1)^2 / G(2a+1): at least 1/2 for a <= 1, 1/184,756 at a = 10.
-        if not 0 < self.beta_alpha <= 1:
-            raise ContractError("beta_alpha must be in (0, 1]")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":

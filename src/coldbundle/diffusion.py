@@ -120,7 +120,7 @@ class Denoiser:
 
 
 def make_denoiser(d: int, d_cond: int, d_time: int, rng: Rng, hidden: int | None = None) -> Denoiser:
-    hidden = hidden or 4 * d
+    hidden = 4 * d if hidden is None else hidden
     net = Mlp.create([d + d_cond + d_time, hidden, hidden, d], rng)
     return Denoiser(net=net, d_time=d_time)
 

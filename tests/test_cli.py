@@ -1,11 +1,14 @@
 """End-to-end command-line pipeline on a micro dataset."""
 
+import dataclasses
 import json
 
 import pytest
 
+from coldbundle import pipeline
 from coldbundle.checkpoint import load_checkpoint, save_checkpoint
-from coldbundle.cli import main
+from coldbundle.cli import build_parser, main
+from coldbundle.config import RunConfig, field_bound
 
 MICRO = [
     "--synth-users", "30", "--synth-items", "40", "--synth-bundles", "12",
@@ -165,6 +168,8 @@ BAD_CONFIG = [
     ("--stage3-epochs", "0"), ("--synth-bundle-size", "-3"), ("--synth-bundle-size", "0"),
     ("--synth-groups", "1"), ("--synth-affinity", "5"), ("--synth-affinity", "nan"),
     ("--synth-affinity", "0"), ("--synth-affinity", "-0.1"),
+    ("--diff-hidden", "-3"), ("--diff-hidden", "0"), ("--synth-users", "0"),
+    ("--synth-items", "-1"), ("--synth-bundles", "0"),
     ("--config", '{"d": "x"}'), ("--config", '{"d": 1.5}'), ("--config", '{"d": true}'),
     ("--config", '{"seed": null}'), ("--config", '{"eta": "0.5"}'),
     ("--config", '{"scenario": 3}'), ("--config", '{"seed": 3,'), ("--config", "[1]"),
@@ -190,6 +195,34 @@ def test_bad_config_value_exits_2(tmp_path, capsys, time_limit, flag, value):
     assert "error:" in err and "Traceback" not in err
     if flag != "--config":
         assert flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("edge", [("--diff-hidden", "1"), ("--T", "2", "--T-prime", "2"),
+                                  ("--d-time", "2"), ("--top-n", "1")], ids=" ".join)
+def test_admitted_edges_train_and_eval(tmp_path, time_limit, edge):
+    """A value at the edge of its bound runs every stage."""
+    out = tmp_path / "o"
+    with time_limit(60):
+        assert _run(out, *edge, "train", "all") == 0
+        assert _run(out, *edge, "eval") == 0
+
+
+def test_help_prints_every_bound():
+    text = " ".join(build_parser().format_help().split())
+    for f in dataclasses.fields(RunConfig):
+        bound = field_bound(f)
+        if bound is not None:
+            assert f"config key {f.name} in {bound} (default: {f.default})" in text
+    assert "config key diff_hidden in [1, inf) (default: None)" in text
+
+
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    def allocate(*args):
+        raise MemoryError("Unable to allocate 29.8 GiB for an array")
+    monkeypatch.setattr(pipeline, "synth_blockmodel", allocate)
+    assert main(["--out", str(tmp_path / "o"), "synth"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 29.8 GiB for an array\n"
 
 
 def _truncate_labels(out):
