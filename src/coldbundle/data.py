@@ -102,7 +102,8 @@ class PositivesIndex:
     The set's canonical (row, col) order makes `cols` the CSR indices and
     `rows * n_cols + cols` an ascending key array, so membership is one
     `searchsorted`.  A split holds one for its train positives; `holds`
-    and `row` serve per-draw Python loops from cached list copies.
+    serves per-draw Python loops from cached list copies, and
+    `contains_bits` many lookups from a cached table of one bit per cell.
     """
 
     n_cols: int
@@ -129,13 +130,22 @@ class PositivesIndex:
         return found
 
     @cached_property
+    def _bits(self) -> np.ndarray:
+        """One bit per (row, col) cell, set at the positives: bit k % 8 of
+        byte k // 8 for the cell with key k."""
+        bits = np.zeros(-(-(self.indptr.size - 1) * self.n_cols // 8), dtype=np.uint8)
+        np.bitwise_or.at(bits, self.keys >> 3, (1 << (self.keys & 7)).astype(np.uint8))
+        return bits
+
+    def contains_bits(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """`contains` through a bit table of every cell, built on first use:
+        cheaper per query, at n_rows * n_cols / 8 bytes."""
+        keys = rows * self.n_cols + cols
+        return ((self._bits[keys >> 3] >> (keys & 7)) & 1).astype(bool)
+
+    @cached_property
     def _lists(self) -> tuple[list[int], list[int]]:
         return self.indptr.tolist(), self.cols.tolist()
-
-    def row(self, r: int) -> list[int]:
-        """Row r's positives as a list, in ascending order."""
-        indptr, cols = self._lists
-        return cols[indptr[r]:indptr[r + 1]]
 
     def holds(self, r: int, c: int) -> bool:
         """Is (r, c) a positive?  Scalar form of `contains`."""

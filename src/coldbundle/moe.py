@@ -11,7 +11,9 @@ pseudo cold bundles.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +25,7 @@ from .errors import ContractError, DegenerateSplitError, DivergenceError
 from .graph import (_recall_at_k, _sample_negatives, bpr_loss, pair_scores, row_chunks,
                     two_view_bpr, view_scores)
 from .nn import Adam, scatter_rows
-from .rng import Rng
+from .rng import Rng, johnk_log_ratio
 
 log = logging.getLogger(__name__)
 
@@ -281,6 +283,204 @@ def stage3_loss_and_grads(x: ExpertOutputs, gp: GateParams,
     return loss, grads
 
 
+# Raws the pseudo-triple sampler fetches per Rng.raw call.  A window holds
+# the raws left over from the last fetch plus one fetch, so it stays
+# bounded however long a triple's rejection loops run.  Windows of this
+# size were the fastest measured (4,096 to 65,536 raws on the seed-7
+# cold-start split) and keep the sampler's transient memory near 2 MB.
+PSEUDO_WINDOW = 1 << 14
+
+# Negative pairs tested in array rounds before the walk redraws the rest
+# one at a time; _PAD positions past a window keep every round's reads in
+# bounds.
+_NEG_ROUNDS = 2
+_PAD = 5 + 2 * _NEG_ROUNDS
+
+# Pair sums x + y this close to 1 decide Johnk's test with scalar pow.
+_NEAR_ONE = 8 * 2.0 ** -52
+
+# The array power of the windowed Johnk test.  It may round an ulp away from
+# the scalar pow that defines each draw; the near-1 recheck makes the
+# sampler's output independent of that ulp.
+_array_pow = np.power
+
+
+def _residues(raws: np.ndarray, m: int) -> np.ndarray:
+    """raws % m as intp, through numpy's division by a scalar, which is
+    several times faster than its remainder."""
+    m = np.uint64(m)
+    return (raws - raws // m * m).view(np.intp)
+
+
+def _johnk_ends(u01: np.ndarray, inv: float) -> np.ndarray:
+    """Where a Johnk draw that starts at position p of a window of uniforms
+    ends: 2 past the first pair (u01[q], u01[q + 1]) with q >= p and
+    q = p mod 2 that the test u ** inv + v ** inv <= 1 accepts.  n + 2
+    where no such pair lies in the window of n; p runs to n + _PAD - 1."""
+    n = u01.size
+    x = _array_pow(u01, inv)
+    total = x[:-1] + x[1:]
+    accept = total <= 1.0
+    near = np.flatnonzero(np.abs(total - 1.0) <= _NEAR_ONE)
+    for p, u, v in zip(near.tolist(), u01[near].tolist(), u01[near + 1].tolist()):
+        accept[p] = math.pow(u, inv) + math.pow(v, inv) <= 1.0
+    at = np.where(accept, np.arange(2, n + 1), n + 2)
+    ends = np.full(n + _PAD, n + 2)
+    for parity in (0, 1):
+        ends[parity:n - 1:2] = np.minimum.accumulate(at[parity::2][::-1])[::-1]
+    return ends
+
+
+def _johnk_values(u01: np.ndarray, q: np.ndarray, inv: float, alpha: float) -> np.ndarray:
+    """Beta(alpha, alpha) values of the accepted pairs at positions q, as
+    `Replay.beta` computes them: scalar pow, then x / (x + y), which IEEE
+    division rounds the same in an array."""
+    us, vs = u01[q].tolist(), u01[q + 1].tolist()
+    x, y = np.array(list(map(math.pow, us + vs, itertools.repeat(inv)))).reshape(2, -1)
+    total = x + y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = x / total
+    for k in np.flatnonzero(total == 0.0).tolist():
+        lam[k] = johnk_log_ratio(us[k], vs[k], alpha, alpha)
+    return lam
+
+
+class _PseudoWindow:
+    """The draws of a window of n raws, speculated for every triple start.
+
+    A triple starting at position s draws its user from raws[s], one key
+    per positive of that user, a Johnk draw that ends at ends[s + 1 + L],
+    negative pairs from there until one, at e, is valid, and a Johnk draw
+    that ends at ends[e + 2], where the next triple starts.  neg[s] is e
+    once an array round found it; `chain[s]` is then the next start, and
+    -2 where every round failed (the walk redraws from neg[s] in scalar
+    code).  A start past n means the triple runs past the window.
+    """
+
+    def __init__(self, raws: np.ndarray, inv: float, eligible: np.ndarray,
+                 pool: np.ndarray, candidates: np.ndarray, positives: PositivesIndex):
+        n = raws.size
+        self.raws, self.n, self.inv, self.positives = raws, n, inv, positives
+        self.u01 = (raws >> np.uint64(11)) * 2.0 ** -53
+        self.ends = ends = _johnk_ends(self.u01, inv)
+        pick = _residues(raws, eligible.size)
+        self.user, self.pool = eligible[pick], pool[pick]
+        # The candidate each raw names; padded, so attempts past the end
+        # read a placeholder, and ends[] then marks them past the window.
+        self.named = named = np.zeros(n + _PAD, dtype=np.int64)
+        named[:n] = candidates[_residues(raws, candidates.size)]
+        at = np.arange(1, n + 1) + self.pool
+        self.neg = neg = ends[np.minimum(at, n, out=at)]
+        outside = neg > n - 2
+        # Negative pairs in array rounds: the pairs at neg[todo] are still
+        # to test; starts left after the last round redraw on the walk.
+        todo, e, u = None, neg, self.user
+        for _ in range(_NEG_ROUNDS):
+            nx, ny = named[e], named[e + 1]
+            bad = nx == ny
+            bad |= positives.contains_bits(u, nx)
+            bad |= positives.contains_bits(u, ny)
+            todo = np.flatnonzero(bad) if todo is None else todo[bad]
+            e, u = e[bad] + 2, u[bad]
+            neg[todo] = e
+        # Position n starts no triple inside the window.
+        code = np.full(n + 1, n + 2)
+        np.take(ends, neg + 2, out=code[:n])
+        code[todo] = -2
+        # A triple whose first negative pair lies past the window ends in
+        # the next one, with its positive draws; rounds past the end read
+        # placeholders.
+        code[:n][outside] = n + 2
+        # A memoryview hands out Python ints without a list of the window.
+        self.chain = memoryview(code)
+
+    def walk(self, count: int) -> tuple[list[int], dict[int, int], int, int | None]:
+        """Up to `count` triple starts in chain order from position 0; the
+        redrawn negative pairs by triple index; where the walk stopped, at
+        the next start or at a triple that runs past the window; and, when
+        that triple's negative pairs ran past the window, the first of them
+        left untested (else None)."""
+        chain, n = self.chain, self.n
+        starts, redrawn, s = [], {}, 0
+        for _ in range(count):
+            t = chain[s]
+            if t == -2:
+                t, e = self._redraw(s)
+                if e > n - 2:
+                    # Every pair before n - 1 failed; rounds past the end
+                    # tested placeholders.
+                    return starts, redrawn, s, e - 2 * max(0, (e - n + 1) // 2)
+                if t <= n:
+                    redrawn[len(starts)] = e
+            if t > n:
+                break
+            starts.append(s)
+            s = t
+        return starts, redrawn, s, None
+
+    def _redraw(self, s: int) -> tuple[int, int]:
+        """The negative pairs of the triple at s that the array rounds left,
+        in scalar code: (next start, valid pair), a next start past n if
+        its negative ratio runs past the window, and a pair past n - 2 if
+        the pairs do."""
+        n, named, positives = self.n, memoryview(self.named), self.positives
+        u, e = int(self.user[s]), int(self.neg[s])
+        while e <= n - 2:
+            bx, by = named[e], named[e + 1]
+            if bx != by and not positives.holds(u, bx) and not positives.holds(u, by):
+                return int(self.ends[e + 2]), e
+            e += 2
+        return n + 2, e
+
+    def gather(self, starts: list[int], redrawn: dict[int, int], alpha: float,
+               out: np.ndarray, spilled: tuple | None = None) -> None:
+        """Write the records of the triples at the walked `starts` to `out`.
+        `spilled`, if given, is the negative pair and ratio of the last
+        triple, drawn past the window."""
+        positives = self.positives
+        s = np.array(starts)
+        u, pool = self.user[s], self.pool[s]
+        inside = s[:s.size - (spilled is not None)]
+        neg = self.neg[inside]
+        neg[list(redrawn)] = list(redrawn.values())
+        # The two smallest keys, first occurrence first (a stable sort's
+        # tie rule), with the padding past each pool at the maximum.
+        top = np.iinfo(np.uint64).max
+        width = pool.max()
+        padded = np.concatenate([self.raws, np.full(width, top, dtype=np.uint64)])
+        keys = np.lib.stride_tricks.sliding_window_view(padded, width)[s + 1]
+        keys[np.arange(width) >= pool[:, None]] = top
+        i = keys.argmin(axis=1)
+        keys[np.arange(s.size), i] = top
+        j = keys.argmin(axis=1)
+        # j == i only if i == 0 and every other key is the maximum.
+        j[j == i] = 1
+        lo = positives.indptr[u]
+        # Both Johnk draws of every triple in one pass: the positive ratio's
+        # accepted pair, then the negative ratio's.
+        accepted = np.concatenate([self.ends[s + 1 + pool], self.ends[neg + 2]]) - 2
+        lam = _johnk_values(self.u01, accepted, self.inv, alpha)
+        out["u"] = u
+        out["pos_x"], out["pos_y"] = positives.cols[lo + i], positives.cols[lo + j]
+        out["pos_lam"] = lam[:s.size]
+        negatives = out[:inside.size]
+        negatives["neg_x"], negatives["neg_y"] = self.named[neg], self.named[neg + 1]
+        negatives["neg_lam"] = lam[s.size:]
+        if spilled is not None:
+            out[["neg_x", "neg_y", "neg_lam"]][-1] = spilled
+
+
+def _replayed_negative(draws, u: int, candidates: np.ndarray, positives: PositivesIndex,
+                       alpha: float) -> tuple[int, int, float]:
+    """A negative pair for user u and its ratio, read one draw at a time
+    from a `Replay`."""
+    named = candidates.tolist()
+    while True:
+        bx, by = named[draws.raw() % len(named)], named[draws.raw() % len(named)]
+        if bx != by and not positives.holds(u, bx) and not positives.holds(u, by):
+            return bx, by, draws.beta(alpha, alpha)
+
+
 def sample_pseudo_triples(split: ScenarioSplit, count: int, beta_alpha: float,
                           rng: Rng) -> np.ndarray:
     """`count` augmented triples as a PSEUDO_DTYPE record array:
@@ -291,10 +491,22 @@ def sample_pseudo_triples(split: ScenarioSplit, count: int, beta_alpha: float,
     of eligible users); two distinct positives, the first two of a stable
     sort of one raw per positive (the user's positives in ascending id
     order); the positive ratio (Johnk); a negative pair (two raws modulo
-    n_bundles) until both miss the user's positives and differ; the
-    negative ratio.  The draws are scalar in a plain loop over
-    `rng.replay()`, so they cost no numpy call each; the counter-based
-    stream makes them the draws of the equivalent scalar Rng calls.
+    the number of candidate bundles) until both miss the user's positives
+    and differ; the negative ratio.
+
+    Draw i of the stream depends only on (seed, i), so the position where
+    a triple starts fixes all it draws and where the next triple starts.
+    The sampler fetches a window of raws and speculates, for every start
+    in it at once, the user, the positive ratio's accepted pair, the
+    negative pairs of a few array rounds and the next start
+    (`_PseudoWindow`).  A walk then follows the chain of starts, redrawing
+    in scalar code the negatives that every round rejected, and the
+    visited starts' fields are gathered in array passes.  A chain that
+    runs past the window's end goes on in a window of the unused raws plus
+    one more fetch of at most PSEUDO_WINDOW raws; negative pairs that run
+    past it are drawn one at a time through `Rng.replay`.  The raws left
+    over are given back, so the records and the final counter are those
+    of the scalar draws, bit for bit.
     """
     cat = split.catalog
     positives = split.train_positives
@@ -305,27 +517,44 @@ def sample_pseudo_triples(split: ScenarioSplit, count: int, beta_alpha: float,
         log.info("cold-gating augmentation: %d users lack two positives, skipped", skipped)
     if not eligible.size:
         return np.zeros(0, dtype=PSEUDO_DTYPE)
-    crowded = eligible[cat.n_bundles - degrees[eligible] < 2]
+    candidates = np.arange(cat.n_bundles)
+    covered = np.bincount(positives.rows[np.isin(positives.cols, candidates)],
+                          minlength=cat.n_users)
+    crowded = eligible[candidates.size - covered[eligible] < 2]
     if crowded.size:
         raise DegenerateSplitError(
             f"users {crowded[:10].tolist()} leave fewer than two bundles for a pseudo-negative")
-    eligible = eligible.tolist()
-    n_bundles = cat.n_bundles
-    rows = []
-    with rng.replay() as draws:
-        for _ in range(count):
-            u = eligible[draws.raw() % len(eligible)]
-            pool = positives.row(u)
-            keys = draws.raws(len(pool))
-            i, j = sorted(range(len(pool)), key=keys.__getitem__)[:2]
-            lam_p = draws.beta(beta_alpha, beta_alpha)
-            while True:
-                nx, ny = draws.raw() % n_bundles, draws.raw() % n_bundles
-                if nx != ny and not positives.holds(u, nx) and not positives.holds(u, ny):
-                    break
-            lam_n = draws.beta(beta_alpha, beta_alpha)
-            rows.append((u, pool[i], pool[j], lam_p, nx, ny, lam_n))
-    return np.array(rows, dtype=PSEUDO_DTYPE)
+    pool = degrees[eligible]
+    # Expected raws per triple: the user, the keys, two Johnk draws and
+    # one negative pair, for Johnk's acceptance rate G(a+1)^2 / G(2a+1).
+    johnk_rate = math.exp(2.0 * math.lgamma(beta_alpha + 1.0)
+                          - math.lgamma(2.0 * beta_alpha + 1.0))
+    per_triple = 3.0 + pool.mean() + 4.0 / johnk_rate
+    out = np.empty(count, dtype=PSEUDO_DTYPE)
+    done = 0
+    raws = np.zeros(0, dtype=np.uint64)
+    while done < count:
+        left = count - done
+        raws = np.concatenate([raws, rng.raw(min(PSEUDO_WINDOW, math.ceil(left * per_triple)))])
+        window = _PseudoWindow(raws, 1.0 / beta_alpha, eligible, pool, candidates, positives)
+        starts, redrawn, stop, spill = window.walk(left)
+        negative = None
+        if spill is not None:
+            # The triple at `stop` drew negative pairs to the window's end:
+            # the rest of them, and its negative ratio, are drawn one at a
+            # time, so that a long rejection loop never grows a window.
+            rng.unread(window.n - spill)
+            with rng.replay() as draws:
+                negative = _replayed_negative(draws, int(window.user[stop]), candidates,
+                                              positives, beta_alpha)
+            starts.append(stop)
+        if starts:
+            window.gather(starts, redrawn, beta_alpha, out[done:done + len(starts)], negative)
+            done += len(starts)
+        raws = raws[stop:] if spill is None else raws[:0]
+        del window  # its arrays go before the next window's are built
+    rng.unread(raws.size)
+    return out
 
 
 def _view_phase_loss_and_grads(x: ExpertOutputs, gp: GateParams,

@@ -43,9 +43,17 @@ CATALOG_KEYS = ("n_users", "n_bundles", "n_items")
 STAGE1_TENSORS = ("e_user", "e_bundle", "e_item")
 GATE_TENSORS = ("w_bint", "w_iint", "w_out", "w_bint_noaug", "w_iint_noaug", "w_out_noaug")
 
-# RunConfig keys that every trained table depends on: the embedding size and
-# the propagation depth.  A checkpoint trained under other values is refused.
-TABLE_KEYS = ("d", "K")
+# RunConfig keys each stage's training reads, beyond those of the stages
+# before it.  A stage trains on the outputs of the earlier ones, so a
+# checkpoint is compared on its own stage's keys and every earlier stage's,
+# and one trained under other values is refused.
+STAGE_KEYS = {
+    "stage1": ("d", "K", "stage1_lr", "stage1_weight_decay", "stage1_epochs",
+               "stage1_patience", "stage1_batch"),
+    "stage2": ("T", "schedule", "d_c", "d_time", "top_n", "T_prime", "cond_epochs", "cond_lr",
+               "diff_epochs", "diff_lr", "diff_batch", "diff_hidden"),
+    "stage3": ("eta", "beta_alpha", "stage3_lr", "stage3_epochs", "stage3_batch"),
+}
 
 
 def update_manifest(out: Path, cfg: RunConfig, artifacts: dict) -> None:
@@ -137,11 +145,14 @@ def _denoiser_tensors(prefix: str, den: dif.Denoiser) -> dict:
 
 
 def _load_stage(cfg: RunConfig, out: Path, stage: str, require) -> dict:
-    """The tensors of `<stage>.ckpt`; a ContractError naming the keys if its
-    header config disagrees with `cfg` on any TABLE_KEYS."""
+    """The tensors of `<stage>.ckpt`; a ContractError naming every stale key
+    if its header config disagrees with `cfg` on the STAGE_KEYS of this
+    stage or of an earlier one."""
     ckpt = load_checkpoint(out / f"{stage}.ckpt", expect_stage=stage, require=require)
     trained = ckpt.config if isinstance(ckpt.config, dict) else {}
-    stale = [key for key in TABLE_KEYS if trained.get(key) != getattr(cfg, key)]
+    stages = list(STAGE_KEYS)
+    keys = [key for s in stages[:stages.index(stage) + 1] for key in STAGE_KEYS[s]]
+    stale = [key for key in keys if trained.get(key) != getattr(cfg, key)]
     if stale:
         raise ContractError(
             f"{stage}.ckpt was trained with "

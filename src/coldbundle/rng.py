@@ -21,7 +21,9 @@ as Python ints.  Since draw ``i`` depends only on (seed, i), handing out
 draw ``i`` from a pre-fetched block gives exactly the value a scalar
 ``raw(1)`` call at counter ``i`` would have; on exit the replay sets the
 counter to the first raw it did not hand out, so the stream continues as
-if every draw had been a scalar call.
+if every draw had been a scalar call.  A sampler that fetches raws ahead
+in arrays (the stage-3 pseudo-triple sampler) gives the ones it did not use
+back with ``Rng.unread``, to the same effect.
 """
 
 from __future__ import annotations
@@ -114,6 +116,22 @@ class Rng:
         """Scalar reader over the rest of this stream (a context manager)."""
         return Replay(self)
 
+    def unread(self, n: int) -> None:
+        """Give back the last ``n`` raws drawn: the next draw is the first
+        of them again."""
+        if not 0 <= n <= self._counter:
+            raise ValueError("cannot unread more raws than were drawn")
+        self._counter -= n
+
+
+def johnk_log_ratio(u: float, v: float, a: float, b: float) -> float:
+    """Johnk's Beta(a, b) value for an accepted pair (u, v) whose powers
+    u ** (1/a) and v ** (1/b) both underflow to 0: the ratio on a log scale."""
+    lx = np.log(max(u, 1e-300)) / a
+    ly = np.log(max(v, 1e-300)) / b
+    m = max(lx, ly)
+    return float(np.exp(lx - m) / (np.exp(lx - m) + np.exp(ly - m)))
+
 
 class Replay:
     """The stream of an Rng read one draw at a time, in stream order.
@@ -181,8 +199,4 @@ class Replay:
             if x + y <= 1.0:
                 if x + y > 0.0:
                     return x / (x + y)
-                # Underflow corner: fall back to log-scale comparison.
-                lx = np.log(max(u, 1e-300)) / a
-                ly = np.log(max(v, 1e-300)) / b
-                m = max(lx, ly)
-                return float(np.exp(lx - m) / (np.exp(lx - m) + np.exp(ly - m)))
+                return johnk_log_ratio(u, v, a, b)

@@ -155,6 +155,51 @@ def test_stage2_checkpoint_of_other_d_exits_2(trained, capsys):
     assert "stage2.ckpt was trained with d=4; the config asks for d=8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,command,stage,key,was,asked", [
+    ("--stage1-lr", ("train", "2"), "stage1", "stage1_lr", 0.05, 0.1),
+    ("--top-n", ("train", "3"), "stage2", "top_n", 2, 3),
+    ("--eta", ("eval",), "stage3", "eta", None, 0.9),
+])
+def test_changed_stage_key_exits_2(trained, capsys, flag, command, stage, key, was, asked):
+    """A run directory is not reused under another value of a key that a
+    stage's training read: the checkpoint is refused, naming the key, and
+    no checkpoint is rewritten."""
+    before = {p.name: p.read_bytes() for p in trained.glob("stage*.ckpt")}
+    capsys.readouterr()
+    assert _run(trained, flag, str(asked), *command) == 2
+    err = capsys.readouterr().err
+    assert (f"{stage}.ckpt was trained with {key}={was!r}; "
+            f"the config asks for {key}={asked!r}") in err
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in trained.glob("stage*.ckpt")} == before
+
+
+@pytest.mark.parametrize("stage,edits,command", [
+    ("stage1", {"stage1_batch": 128}, ("train", "2")),
+    ("stage2", {"diff_lr": 0.5, "T_prime": 3}, ("train", "3")),
+    ("stage3", {"beta_alpha": 0.5}, ("eval",)),
+    ("stage3", {"stage1_epochs": 9, "schedule": "cosine"}, ("eval",)),
+])
+def test_checkpoint_with_stale_stage_keys_exits_2(trained, capsys, stage, edits, command):
+    """A checkpoint whose header disagrees with the config on its own
+    stage's keys, or on an earlier stage's, is refused and every stale key
+    is named."""
+    ckpt = trained / f"{stage}.ckpt"
+    original = ckpt.read_bytes()
+    ck = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, ck.stage, {**ck.config, **edits}, ck.tensors)
+    capsys.readouterr()
+    try:
+        assert _run(trained, *command) == 2
+    finally:
+        ckpt.write_bytes(original)
+    err = capsys.readouterr().err
+    assert f"{stage}.ckpt was trained with " in err
+    for key, value in edits.items():
+        assert f"{key}={value!r}" in err
+    assert "Traceback" not in err
+
+
 BAD_CONFIG = [
     ("--stage1-batch", "0"), ("--diff-batch", "0"), ("--stage3-batch", "0"),
     ("--stage3-batch", "-5"), ("--eta", "nan"), ("--eta", "inf"),

@@ -151,11 +151,24 @@ def test_positives_index_matches_sets():
     np.testing.assert_array_equal(idx.contains(rows, cols),
                                   [c in sets[r] for r, c in zip(rows, cols)])
     for r in range(10):
-        assert idx.row(r) == sorted(sets[r])
+        assert idx.cols[idx.indptr[r]:idx.indptr[r + 1]].tolist() == sorted(sets[r])
         assert [idx.holds(r, c) for c in range(13)] == [c in sets[r] for c in range(13)]
     empty = PositivesIndex.of(InteractionSet.from_pairs(Kind.USER_BUNDLE, [], []), 2, 3)
     assert not empty.contains(np.array([0, 1]), np.array([2, 0])).any()
-    assert not empty.holds(1, 2) and empty.row(0) == []
+    assert not empty.holds(1, 2) and empty.degrees().tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("n_rows,n_cols", [(10, 13), (3, 8), (1, 1), (7, 64)])
+def test_positives_bit_table_agrees_with_contains(n_rows, n_cols):
+    """`contains_bits` answers `contains` on every cell, the last byte's
+    spare bits included, with one bit per cell."""
+    rng = np.random.default_rng(n_rows * n_cols)
+    rel = InteractionSet.from_pairs(Kind.USER_BUNDLE, rng.integers(0, n_rows, 40),
+                                    rng.integers(0, n_cols, 40))
+    idx = PositivesIndex.of(rel, n_rows, n_cols)
+    rows, cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
+    np.testing.assert_array_equal(idx.contains_bits(rows, cols), idx.contains(rows, cols))
+    assert idx._bits.nbytes == -(-n_rows * n_cols // 8)
 
 
 @pytest.mark.parametrize("bad", ["user_bundle.tsv", "user_item.tsv", "bundle_item.tsv"])

@@ -402,6 +402,139 @@ def test_pseudo_triples_replay_property(time_limit, case, count, alpha, seed):
     assert got.tobytes() == want.tobytes() and a._counter == b._counter
 
 
+def _window_cases():
+    """Splits for the window tests: the 60 x 30 synthetic split (pools up to
+    its largest length), pools of exactly two positives, and users that
+    leave only two free bundles."""
+    cat, x, y, z = synth_blockmodel(60, 80, 30, 3, 5, 0.3, 3)
+    synth = make_split(x, y, z, cat, Scenario.COLD_START, seed=3)
+    n_users, n_bundles = 6, 12
+    two = [(u, (u + k) % n_bundles) for u in range(n_users) for k in range(2)]
+    tight = [(u, b) for u in range(n_users) for b in range(n_bundles) if b not in (u, u + 1)]
+    return {"synth": synth,
+            "two": _train_only(synth, n_users, n_bundles, *zip(*two)),
+            "tight": _train_only(synth, n_users, n_bundles, *zip(*tight))}
+
+
+WINDOW_CASES = _window_cases()
+
+
+def _window_spy(monkeypatch, sizes):
+    """Record the number of raws of every window the sampler builds."""
+    build = moe._PseudoWindow.__init__
+
+    def spy(self, raws, *args):
+        sizes.append(raws.size)
+        build(self, raws, *args)
+    monkeypatch.setattr(moe._PseudoWindow, "__init__", spy)
+
+
+@given(st.integers(1, 40), st.sampled_from(sorted(WINDOW_CASES)),
+       st.sampled_from([0.9, 0.5, 0.02, 0.002]), st.integers(1, 40), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_pseudo_triples_across_window_boundaries(monkeypatch, time_limit, window, case, alpha,
+                                                 count, seed):
+    """With windows of a few raws, chains run past the window's end over
+    and over; records and final counter still equal the scalar reference's
+    bit for bit."""
+    monkeypatch.setattr(moe, "PSEUDO_WINDOW", window)
+    split = WINDOW_CASES[case]
+    a, b = Rng(seed), Rng(seed)
+    with time_limit(20):
+        got = sample_pseudo_triples(split, count, alpha, a)
+    want = sample_pseudo_triples_reference(split, count, alpha, b)
+    assert got.tobytes() == want.tobytes() and a._counter == b._counter
+
+
+def test_pseudo_negatives_past_the_window_keep_it_bounded(monkeypatch, time_limit):
+    """A user that leaves two of 60 bundles free needs about 3,600 negative
+    pairs per triple.  Loops that long leave the window and are drawn one
+    at a time, so no window grows with them, and the records and counter
+    still equal the reference's."""
+    split = WINDOW_CASES["synth"]
+    held = [(0, b) for b in range(2, 60)] + [(1, 0), (1, 1)]
+    long_loops = _train_only(split, 2, 60, *zip(*held))
+    monkeypatch.setattr(moe, "PSEUDO_WINDOW", 64)
+    sizes = []
+    _window_spy(monkeypatch, sizes)
+    with time_limit(60):
+        spent = _assert_pseudo_matches_reference(long_loops, 12, 0.9, 4)
+    assert spent > 12 * 1000 and max(sizes) < 500
+
+
+def test_pseudo_triples_largest_pools_across_windows(monkeypatch, time_limit):
+    """Windows shorter than the largest pool: a triple's keys alone span
+    several extensions, at every alpha, the underflow branch included."""
+    split = WINDOW_CASES["synth"]
+    assert split.train_positives.degrees().max() >= 2 * 3
+    monkeypatch.setattr(moe, "PSEUDO_WINDOW", 3)
+    sizes = []
+    _window_spy(monkeypatch, sizes)
+    UNDERFLOW["hits"] = 0
+    with time_limit(20):
+        for alpha in (0.9, 0.5, 0.02, 0.002):
+            for seed in range(2):
+                _assert_pseudo_matches_reference(split, 150, alpha, seed)
+    assert UNDERFLOW["hits"] > 0
+    assert max(sizes) > 2 * 3  # windows extended by more than one fetch
+
+
+class _BoundaryRng(Rng):
+    """A stream whose uniforms take a few values that put Johnk pairs at
+    alpha 1 exactly on x + y = 1 or one ulp above it.  Raw i is a pure
+    function of (seed, i), like Rng's: the low 11 bits stay random, and
+    the top 53 bits, the uniform, come from UNIFORMS."""
+    UNIFORMS = np.array([2**51, 3 * 2**51, 3 * 2**51 + 2, 2**52, 2**52 + 1, 2**50],
+                        dtype=np.uint64)
+
+    def raw(self, n):
+        r = super().raw(n)
+        return (self.UNIFORMS[r % np.uint64(len(self.UNIFORMS))] << np.uint64(11)) \
+            | (r & np.uint64(0x7FF))
+
+
+class _TiedRng(Rng):
+    """A stream in which every odd raw of Rng's becomes the largest raw, so
+    that the keys of a pool tie often, with each other and with the
+    padding past a shorter pool."""
+
+    def raw(self, n):
+        r = super().raw(n)
+        return np.where(r & np.uint64(1), np.uint64(2**64 - 1), r)
+
+
+def test_pseudo_triples_keep_the_stable_tie_rule():
+    """Tied keys pick the lower position first, as the reference's stable
+    sort does, also when every key but the smallest is the largest raw."""
+    for split in (WINDOW_CASES["two"], WINDOW_CASES["synth"]):
+        for seed in range(3):
+            a, b = _TiedRng(seed), _TiedRng(seed)
+            got = sample_pseudo_triples(split, 300, 0.9, a)
+            want = sample_pseudo_triples_reference(split, 300, 0.9, b)
+            assert got.tobytes() == want.tobytes() and a._counter == b._counter
+
+
+@pytest.mark.parametrize("toward", [np.inf, -np.inf])
+def test_pseudo_triples_survive_an_ulp_off_array_pow(monkeypatch, toward):
+    """The array pow may round an ulp away from the scalar pow.  With every
+    array power pushed one ulp toward `toward`, on a stream full of pairs
+    whose scalar sum is exactly 1 or one ulp above it, the records and the
+    final counter still equal the scalar reference's."""
+    monkeypatch.setattr(moe, "_array_pow", lambda x, e: np.nextafter(np.power(x, e), toward))
+    u01 = (_BoundaryRng(0).raw(64) >> np.uint64(11)) * 2.0 ** -53
+    sums = u01[:-1] + u01[1:]
+    assert np.any(sums == 1.0) and np.any(sums == 1.0 + 2.0 ** -52)
+    for split in (WINDOW_CASES["synth"], WINDOW_CASES["tight"]):
+        for seed in range(3):
+            a, b = _BoundaryRng(seed), _BoundaryRng(seed)
+            got = sample_pseudo_triples(split, 200, 1.0, a)
+            want = sample_pseudo_triples_reference(split, 200, 1.0, b)
+            assert got.tobytes() == want.tobytes() and a._counter == b._counter
+    for alpha in (0.9, 0.5, 0.02):
+        _assert_pseudo_matches_reference(WINDOW_CASES["synth"], 300, alpha, 5)
+
+
 def _with_train_pairs(split, user, bundles):
     """split with `user` also holding train interactions with `bundles`."""
     tx = split.train_x

@@ -1,5 +1,7 @@
 """Deterministic random stream: reproducibility, derivation, distributions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,3 +143,27 @@ def test_replay_beta_equals_scalar_reference(a):
     assert r._counter == ref._counter
     if a == 0.002:
         assert UNDERFLOW["hits"] > 0
+
+
+def test_unread_gives_back_the_last_raws():
+    ref = Rng(47)
+    want = ref.raw(12)
+    r = Rng(47)
+    r.raw(9)
+    r.unread(4)
+    np.testing.assert_array_equal(r.raw(7), want[5:])
+    assert r._counter == ref._counter
+    with pytest.raises(ValueError):
+        r.unread(13)
+    with pytest.raises(ValueError):
+        r.unread(-1)
+
+
+def test_math_pow_equals_numpy_scalar_pow():
+    """`math.pow` calls the same C pow as Python's ** and numpy's float64
+    scalars, so Johnk's x = u ** (1/a) agrees bitwise, subnormals included."""
+    u = Rng(41).uniform(200_000)
+    for a in (0.9, 0.5, 0.02, 0.002):
+        want = np.array([v ** (1.0 / a) for v in u])
+        got = np.array([math.pow(v, 1.0 / a) for v in u.tolist()])
+        assert got.tobytes() == want.tobytes()
