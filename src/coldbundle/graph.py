@@ -164,16 +164,22 @@ def pair_scores(ru_b: np.ndarray, rb: np.ndarray, ru_i: np.ndarray, rb_i: np.nda
     return out
 
 
-def two_view_bpr(ru_b: np.ndarray, rb: np.ndarray, ru_i: np.ndarray, rb_i: np.ndarray,
-                 u: np.ndarray, bp: np.ndarray, bn: np.ndarray):
+def two_view_loss(ru_b: np.ndarray, rb: np.ndarray, ru_i: np.ndarray, rb_i: np.ndarray,
+                  u: np.ndarray, bp: np.ndarray, bn: np.ndarray):
     """Summed ranking loss of (user, positive, negative) rows under the
-    two-view score <ru_b[u], rb[b]> + <ru_i[u], rb_i[b]>.  Returns
-    (loss, c, g_rb, g_rb_i): c is dloss/d(pos - neg) per row; g_rb and g_rb_i,
-    the bundle-table gradients, scatter the positive rows, then the negative
-    ones.  User-side gradients are left to the caller."""
+    two-view score <ru_b[u], rb[b]> + <ru_i[u], rb_i[b]>, and c, its
+    derivative dloss/d(pos - neg) per row."""
     s_pos = pair_scores(ru_b, rb, ru_i, rb_i, u, bp)
     s_neg = pair_scores(ru_b, rb, ru_i, rb_i, u, bn)
-    loss, c = bpr_loss(s_pos[:, 0] + s_pos[:, 1], s_neg[:, 0] + s_neg[:, 1])
+    return bpr_loss(s_pos[:, 0] + s_pos[:, 1], s_neg[:, 0] + s_neg[:, 1])
+
+
+def two_view_bpr(ru_b: np.ndarray, rb: np.ndarray, ru_i: np.ndarray, rb_i: np.ndarray,
+                 u: np.ndarray, bp: np.ndarray, bn: np.ndarray):
+    """`two_view_loss` and the bundle-table gradients.  Returns
+    (loss, c, g_rb, g_rb_i): g_rb and g_rb_i scatter the positive rows, then
+    the negative ones.  User-side gradients are left to the caller."""
+    loss, c = two_view_loss(ru_b, rb, ru_i, rb_i, u, bp, bn)
     cw = c[:, None]
     pn = np.concatenate([bp, bn])
     g_rb, g_rb_i = (scatter_rows(pn, np.concatenate([v := cw * ru[u], -v]), len(rb))

@@ -23,7 +23,7 @@ from .config import RunConfig
 from .data import PositivesIndex, ScenarioSplit
 from .errors import ContractError, DegenerateSplitError, DivergenceError
 from .graph import (_recall_at_k, _sample_negatives, bpr_loss, pair_scores, row_chunks,
-                    two_view_bpr, view_scores)
+                    two_view_loss, view_scores)
 from .nn import Adam, scatter_rows
 from .rng import Rng, johnk_log_ratio
 
@@ -263,8 +263,10 @@ def stage3_loss_and_grads(x: ExpertOutputs, gp: GateParams,
 
     pseudo is a PSEUDO_DTYPE record array.  Pseudo bundles carry a zero cold
     feature, which pins both view gates at [0.5, 0.5], so only the output
-    gate receives their gradient, through the output-gate kernel that phase
-    two of `train_stage3` steps on.
+    gate receives their gradient, through the output-gate kernel on
+    interpolated rows.  This is the representation-space form that
+    `train_stage3`'s score-space kernels reproduce up to the summation
+    order.
     """
     u, bp, bn = triples
     rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
@@ -281,6 +283,82 @@ def stage3_loss_and_grads(x: ExpertOutputs, gp: GateParams,
         loss, grads[2] = _output_gate_loss_and_grad(gp.w_out, [_pseudo_sides(x, pseudo)],
                                                     loss, grads[2])
     return loss, grads
+
+
+# Phase two of train_stage3 works in score space.  With the view gates
+# frozen, a real row's output-gate input is a row of the fused table
+# A = [rb_bint | rb_iint], and a pseudo row's is a mix
+# lam * M[bx] + (1 - lam) * M[by] of the table
+# M = [r_e_bint + r_d_bint | r_e_iint_b + r_d_iint_b] / 2 (a zero cold
+# feature pins both view gates at [0.5, 0.5]).  Gate logits and view scores
+# are linear in that input, so rows gather or mix per-bundle logits and
+# scores, and the w_out gradient bins the rows' logit gradients per bundle
+# before one product with the table.
+
+def _sources(pseudo: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bx, by, lam) of one side ("pos" or "neg") of PSEUDO_DTYPE records."""
+    return pseudo[side + "_x"], pseudo[side + "_y"], pseudo[side + "_lam"]
+
+
+def _gates_at(logits: np.ndarray, at) -> np.ndarray:
+    """Output gates of rows whose logits are rows of the per-bundle logits
+    at `at`: an index array, or mixes (bx, by, lam)."""
+    if isinstance(at, tuple):
+        bx, by, lam = at
+        lam = lam[:, None]
+        return np.tanh(lam * logits[bx] + (1.0 - lam) * logits[by])
+    return np.tanh(logits)[at]
+
+
+def _binned(at, v: np.ndarray, n: int) -> np.ndarray:
+    """(n, 2) per-bundle sums of the rows of v, the adjoint of `_gates_at`'s
+    gather: a mix bins lam * v at bx and (1 - lam) * v at by."""
+    if isinstance(at, tuple):
+        bx, by, lam = at
+        lam = lam[:, None]
+        return scatter_rows(np.concatenate([bx, by]), np.concatenate([lam * v, (1.0 - lam) * v]), n)
+    return scatter_rows(at, v, n)
+
+
+def _pseudo_table(x: ExpertOutputs) -> np.ndarray:
+    """M, the per-bundle output-gate inputs that pseudo bundles mix."""
+    return 0.5 * np.concatenate([x.r_e_bint + x.r_d_bint, x.r_e_iint_b + x.r_d_iint_b], axis=1)
+
+
+def _pseudo_scores(x: ExpertOutputs, m_table: np.ndarray,
+                   pseudo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-view scores (n, 2) of the pseudo positives and negatives: the
+    mixes of their sources' scores against M's halves, SCORE_CHUNK rows at
+    a time (einsum row dots keep no product temporaries)."""
+    halves = m_table[:, :x.d], m_table[:, x.d:]
+    s_pos, s_neg = np.empty((len(pseudo), 2)), np.empty((len(pseudo), 2))
+    for rows in row_chunks(len(pseudo)):
+        part = pseudo[rows]
+        users = x.ru_bint[part["u"]], x.ru_iint[part["u"]]
+        for side, out in (("pos", s_pos), ("neg", s_neg)):
+            bx, by, lam = _sources(part, side)
+            for k, (ru, m) in enumerate(zip(users, halves)):
+                s_x, s_y = (np.einsum("ij,ij->i", ru, m[b]) for b in (bx, by))
+                out[rows, k] = lam * s_x + (1.0 - lam) * s_y
+    return s_pos, s_neg
+
+
+def _score_space_loss_and_grad(w_out: np.ndarray, sides: list):
+    """The output-gate kernel in score space: `_output_gate_loss_and_grad`
+    of the same triples, up to the summation order.  Each side is
+    (table, s_pos, at_pos, s_neg, at_neg): a per-bundle table of output-gate
+    inputs (n_bundles, 2d), and the per-view scores (n, 2) and table rows
+    (`_gates_at`) of its positive and its negative rows."""
+    loss, grad = 0.0, np.zeros_like(w_out)
+    for table, s_pos, at_pos, s_neg, at_neg in sides:
+        logits = table @ w_out.T
+        g_pos, g_neg = _gates_at(logits, at_pos), _gates_at(logits, at_neg)
+        side_loss, c = bpr_loss(_gated(g_pos, s_pos), _gated(g_neg, s_neg))
+        loss += side_loss
+        bins = _binned(at_pos, _gate_coef(c, g_pos, s_pos), len(table))
+        bins += _binned(at_neg, _gate_coef(-c, g_neg, s_neg), len(table))
+        grad += bins.T @ table
+    return loss, grad
 
 
 # Raws the pseudo-triple sampler fetches per Rng.raw call.  A window holds
@@ -560,10 +638,18 @@ def sample_pseudo_triples(split: ScenarioSplit, count: int, beta_alpha: float,
 def _view_phase_loss_and_grads(x: ExpertOutputs, gp: GateParams,
                                triples: tuple[np.ndarray, np.ndarray, np.ndarray]):
     """Ranking loss with unit output fusion (y = s_bint + s_iint), that is
-    `graph.two_view_bpr` on the fused tables; gradients reach the view gates."""
+    `graph.two_view_loss` on the fused tables; gradients reach the view gates.
+
+    The fused tables' gradients are C @ ru for each view, where the sparse
+    (n_bundles, n_users) matrix C holds +c at (bp, u) and -c at (bn, u),
+    duplicates summed: one sparse product instead of a scatter of
+    batch x d rows."""
+    u, bp, bn = triples
     rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
-    loss, _, g_rb_bint, g_rb_iint = two_view_bpr(x.ru_bint, rb_bint, x.ru_iint, rb_iint, *triples)
-    return loss, _view_gate_grads(x, w_b, w_i, g_rb_bint, g_rb_iint)
+    loss, c = two_view_loss(x.ru_bint, rb_bint, x.ru_iint, rb_iint, u, bp, bn)
+    coef = sp.coo_matrix((np.concatenate([c, -c]), (np.concatenate([bp, bn]), np.tile(u, 2))),
+                         shape=(len(rb_bint), len(x.ru_bint)))
+    return loss, _view_gate_grads(x, w_b, w_i, coef @ x.ru_bint, coef @ x.ru_iint)
 
 
 def _epoch_negatives(rng: Rng, users: np.ndarray, warm_bundles: np.ndarray,
@@ -590,7 +676,19 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
     triples (the no-aug ablation).  Pseudo triples come from derived
     streams only, so both forks see the same orders and negatives: the
     forks step side by side on each batch, which shares its real triples'
-    scores and output-gate inputs.
+    view scores.
+
+    Both phases train in score space.  Phase one scores the batch rows on
+    the fused tables and takes their gradients from one sparse
+    (n_bundles, n_users) coefficient product per view instead of row
+    scatters.  Phase two gathers per-bundle output-gate logits, mixes them
+    for pseudo bundles, scores each pseudo triple once per epoch, and bins
+    the rows' logit gradients per bundle before one product with a
+    (n_bundles, 2d) table (see `_score_space_loss_and_grad`).  This sums in
+    another order than the representation-space form, the gathered gate
+    inputs and interpolated pseudo rows of `stage3_loss_and_grads`; the
+    tests hold the two to rtol 1e-12 per step and per trained gate, with
+    equal validation recalls.
     Returns (GateParams, no-aug GateParams, history of the augmented fit);
     with no pseudo triples (eta 0) the two gate sets are the same object.
     """
@@ -636,11 +734,11 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
             _recall_at_k(_score_matrix(x, rb_bint, rb_iint), split.train_x, split.val_x))
 
     # Phase two: output gate on frozen view routing, real plus pseudo
-    # triples.  The fused tables, the output-gate inputs and the positive
-    # side's view scores hold for the whole phase; each epoch scores its
-    # negatives once for both forks.
+    # triples, in score space.  The tables A and M and the positive side's
+    # view scores hold for the whole phase; each epoch scores its negatives
+    # once for both forks, and its pseudo triples once.
     rb_bint, rb_iint, _, _ = fused_tables(x, gp)
-    a_table = np.concatenate([rb_bint, rb_iint], axis=1)
+    a_table, m_table = np.concatenate([rb_bint, rb_iint], axis=1), _pseudo_table(x)
     pos_scores = pair_scores(x.ru_bint, rb_bint, x.ru_iint, rb_iint, users_all, pos_all)
     forks = [(gp, n_pseudo)]
     if n_pseudo:
@@ -653,16 +751,22 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
         pseudo = [sample_pseudo_triples(split, count, cfg.beta_alpha,
                                         rng.derive(f"pseudo:{epoch}"))
                   if count else np.zeros(0, dtype=PSEUDO_DTYPE) for _, count in forks]
+        pseudo_scores = [_pseudo_scores(x, m_table, p) for p in pseudo]
         # Pseudo triples are spread evenly over the batches.
         per_batch = [max(1, -(-len(p) // n_batches)) if len(p) else 0 for p in pseudo]
         epoch_loss = [0.0] * len(forks)
         for k, s in enumerate(range(0, n_pairs, size)):
-            rows, neg = order[s:s + size], neg_all[s:s + size]
-            real = (pos_scores[rows], a_table[pos_all[rows]], neg_scores[s:s + size], a_table[neg])
+            rows = order[s:s + size]
+            real = (a_table, pos_scores[rows], pos_all[rows], neg_scores[s:s + size],
+                    neg_all[s:s + size])
             for f, ((g, _), opt) in enumerate(zip(forks, opts)):
-                extra = pseudo[f][k * per_batch[f]:(k + 1) * per_batch[f]]
-                sides = [real, _pseudo_sides(x, extra)] if len(extra) else [real]
-                loss, grad = _output_gate_loss_and_grad(g.w_out, sides)
+                part = slice(k * per_batch[f], (k + 1) * per_batch[f])
+                extra, (s_pos, s_neg) = pseudo[f][part], pseudo_scores[f]
+                sides = [real]
+                if len(extra):
+                    sides.append((m_table, s_pos[part], _sources(extra, "pos"),
+                                  s_neg[part], _sources(extra, "neg")))
+                loss, grad = _score_space_loss_and_grad(g.w_out, sides)
                 if not np.isfinite(loss):
                     raise DivergenceError(f"gate loss diverged at epoch {epoch}")
                 epoch_loss[f] += loss

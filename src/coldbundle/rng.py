@@ -137,11 +137,10 @@ class Replay:
     """The stream of an Rng read one draw at a time, in stream order.
 
     Use as ``with rng.replay() as draws:``.  Raws come from ``Rng.raw`` in
-    blocks of REPLAY_BLOCK (or one larger block for a longer ``raws``
-    request); on exit, also by an exception, the Rng's counter is set to
-    just past the last raw handed out, so the replay consumes exactly the
-    draws of the equivalent scalar calls.  Nothing else may draw from the
-    Rng while the replay is open.
+    blocks of REPLAY_BLOCK; on exit, also by an exception, the Rng's
+    counter is set to just past the last raw handed out, so the replay
+    consumes exactly the draws of the equivalent scalar calls.  Nothing
+    else may draw from the Rng while the replay is open.
     """
 
     def __init__(self, rng: Rng):
@@ -156,26 +155,14 @@ class Replay:
     def __exit__(self, *exc) -> None:
         self._rng._counter = self._base + self._pos
 
-    def _fetch(self, n: int) -> None:
-        """Make at least n raws available past _pos."""
-        self._base += self._pos
-        self._buf = self._buf[self._pos:]
-        self._pos = 0
-        self._buf += self._rng.raw(max(REPLAY_BLOCK, n - len(self._buf))).tolist()
-
     def raw(self) -> int:
         """The next raw draw, as ``int(rng.raw(1)[0])`` would give it."""
         if self._pos == len(self._buf):
-            self._fetch(1)
+            self._base += self._pos
+            self._buf = self._rng.raw(REPLAY_BLOCK).tolist()
+            self._pos = 0
         self._pos += 1
         return self._buf[self._pos - 1]
-
-    def raws(self, n: int) -> list[int]:
-        """The next n raw draws, as ``rng.raw(n).tolist()`` would give them."""
-        if self._pos + n > len(self._buf):
-            self._fetch(n)
-        self._pos += n
-        return self._buf[self._pos - n:self._pos]
 
     def uniform(self) -> float:
         """The next draw as a double on [0, 1), equal to ``rng.uniform(1)[0]``:

@@ -1,14 +1,26 @@
-"""Reference stage-3 training: fork by fork, batch by batch, every step on
-the all-gates loss, which rebuilds the fused tables and rescores each real
-triple per fork, with the pseudo triples scored by `two_view_scores`.
-`moe.train_stage3` must give its gate sets and history bit for bit."""
+"""Reference stage-3 training in representation space: phase one on the
+bundle-table scatters of `graph.two_view_bpr`, then fork by fork, batch by
+batch, every step on the all-gates loss, which rebuilds the fused tables
+and rescores each real triple per fork, with the pseudo triples
+interpolated and scored by `two_view_scores`.  `moe.train_stage3`, which
+trains in score space, must give its gate sets within rtol 1e-12 and its
+validation recalls exactly."""
 
 import numpy as np
 
 from coldbundle import moe
-from coldbundle.graph import _recall_at_k, bpr_loss
+from coldbundle.graph import _recall_at_k, bpr_loss, two_view_bpr
 from coldbundle.nn import Adam
 from coldbundle.rng import Rng
+
+
+def view_phase_reference(x, gp, triples):
+    """Phase one's loss and view-gate gradients in representation space:
+    `two_view_bpr` scatters the rows' gradients into the fused bundle
+    tables, and `_view_gate_grads` folds them into each (2, 1) gate."""
+    rb_bint, rb_iint, w_b, w_i = moe.fused_tables(x, gp)
+    loss, _, g_rb_bint, g_rb_iint = two_view_bpr(x.ru_bint, rb_bint, x.ru_iint, rb_iint, *triples)
+    return loss, moe._view_gate_grads(x, w_b, w_i, g_rb_bint, g_rb_iint)
 
 
 def stage3_loss_reference(x, gp, triples, pseudo):
@@ -69,7 +81,7 @@ def train_stage3_reference(split, x, cfg):
     for _ in range(cfg.stage3_epochs):
         epoch_loss = 0.0
         for triples in epoch_batches():
-            loss, grads = moe._view_phase_loss_and_grads(x, gp, triples)
+            loss, grads = view_phase_reference(x, gp, triples)
             epoch_loss += loss
             opt.step(view_params, grads)
         history["view_loss"].append(epoch_loss / max(1, n_pairs))

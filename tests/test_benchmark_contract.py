@@ -39,6 +39,24 @@ def test_tracer_patches_every_named_function():
     assert layer["moe.pseudo_triples"]["value"] == round(0.5 * len(split.train_x))
 
 
+def test_traced_stage3_times_its_kernels():
+    """A traced train_stage3 at eta 0.5 records phase one's kernel by its
+    patched name and times the pseudo-triple sampler, so a rewrite of
+    stage 3 cannot leave either per-layer metric reading 0."""
+    split, x = _tiny()
+    rec = _recorder()
+    rec.start("t")
+    try:
+        moe.train_stage3(split, x, RunConfig(eta=0.5, stage3_epochs=1, stage3_batch=16))
+    finally:
+        rec.stop()
+    names = [span[0] for span in rec.spans]
+    assert names.count("moe.view_phase_loss_and_grads") >= 1
+    layer = rec.per_layer()
+    assert layer["moe.view_phase_loss_and_grads_s"]["value"] > 0
+    assert layer["moe.sample_pseudo_triples_s"]["value"] > 0
+
+
 def test_evaluation_and_validation_rank_through_the_traced_kernel():
     """metrics.evaluate and graph._recall_at_k rank through
     metrics.rank_candidates, which the tracer times by that name."""

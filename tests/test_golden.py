@@ -34,7 +34,7 @@ GOLDEN = [
 EXPECTED = {
     "stage1": "f3ada4f8b0a92c370a2b377b2d1b4478bbb974ce1bad6c0cf32fc434e4aff767",
     "stage2": "6204d574ac4fee22d9fca1a94535827b9b097dbc7c200af4e0676096a2416340",
-    "stage3": "38fab4ca174af086d8391eab2ae4627c8623d174850916842ebdf0aacd8d0940",
+    "stage3": "5fde82093b66b873ffc61e7b2056f0c8948c973fb44991f2b83682a2a43a0cb2",
     "metrics": "aa93780dc092c6e02f75bfa9e08072763944132a083dc27b03ce743d0b5a6d30",
 }
 
@@ -42,13 +42,13 @@ EXPECTED_SCENARIOS = {
     "all_bundle": {
         "stage1": "f70eaf223615810fef280ad4c391c38df93b21ba7c74f4bd0819fce8f42ead72",
         "stage2": "e65b03edcccd1dd1981cdb1d57b1741b476998a808f9c4c37731e0487df2694d",
-        "stage3": "91f213016d46dafd70b839a49362bb1c4c4baf1ebf7b637990e27fdfdeac5acb",
+        "stage3": "e85e56f9db382cbfd7348c307f0fbf7345f9487c9ff5fb634ef7a6cb005e6547",
         "metrics": "fd92417e9946185748b01cc0396341b5313d36f8a8352cd8ac2bd6f29b259b23",
     },
     "warm_start": {
         "stage1": "7537d8df2c7aa30a34be7aeade3385d1b08f97b506485b218afec5900d15927b",
         "stage2": "f61f9fc9fc1dfcee841b52a3e816b80462b11cbbbfec76bd100bd20948cb5ec7",
-        "stage3": "c29fdc482ca47e41aef19a468ccb803139dcf860b0ec521de5508898e9636d38",
+        "stage3": "85e454f4b7ef700b139bc27c8be6526104a6f2402d995373edffa882c64bcfc4",
         "metrics": "73ed50164aa506e520184b5ca8bf7214070ed7b87696ac32672c7fb0553d883f",
     },
 }
@@ -56,7 +56,7 @@ EXPECTED_SCENARIOS = {
 # cold_start with --stage3-batch 128; stages 1 and 2 do not read the batch.
 EXPECTED_BATCHED = {
     **EXPECTED,
-    "stage3": "9184fb33c3354d41ab36e78c8eb279a656f4c8d27283f36be129ee877918b3bc",
+    "stage3": "02343fbe63a2131a8bc70a927177dc0c30d74f3b9a082d10189cfe2d79e9992a",
     "metrics": "3d6e608411e543f525a71b409abab6cdb4bf6549e898e3d890f464148c6dfb6d",
 }
 

@@ -12,17 +12,17 @@ from coldbundle import graph, moe
 from coldbundle.config import RunConfig
 from coldbundle.data import Catalog, InteractionSet, Kind, Scenario, make_split, synth_blockmodel
 from coldbundle.errors import ContractError, DegenerateSplitError
-from coldbundle.graph import bpr_loss, membership_matrix, pair_scores
+from coldbundle.graph import membership_matrix, pair_scores
 from coldbundle.moe import (
     ExpertOutputs, GateParams, cold_features, fuse, fused_tables,
     gate_dump_rows, interpolate_pseudo, output_gate,
     sample_pseudo_triples, score_all, score_all_no_diff, score_all_no_moe,
     stage3_loss_and_grads, train_stage3, two_view_scores, view_gate,
 )
-from coldbundle.nn import finite_diff_check, scatter_rows
+from coldbundle.nn import finite_diff_check
 from coldbundle.rng import Rng
 from samplers_reference import UNDERFLOW, sample_pseudo_triples_reference
-from stage3_reference import stage3_loss_reference, train_stage3_reference
+from stage3_reference import stage3_loss_reference, train_stage3_reference, view_phase_reference
 
 
 def _tiny(seed=0, d=6):
@@ -207,43 +207,13 @@ def test_view_phase_gradcheck():
     assert report["max_rel_err"] < 1e-4
 
 
-def view_phase_reference(x, gp, triples):
-    """Phase one's loss and view-gate gradients as they were before
-    `graph.two_view_bpr`: unit-fusion scores and VJPs of the fused rows, the
-    bundle-side scatters, and the fold into each (2, 1) gate matrix."""
-    u, bp, bn = triples
-    rb_bint, rb_iint, w_b, w_i = fused_tables(x, gp)
-    ru1, ru2 = x.ru_bint[u], x.ru_iint[u]
-
-    def unit_scores(fb, fi):
-        s = np.stack([np.sum(ru1 * fb, axis=1), np.sum(ru2 * fi, axis=1)], axis=1)
-        return s[:, 0] + s[:, 1], lambda coef: (coef[:, None] * ru1, coef[:, None] * ru2)
-
-    def gate_grad(G, r_e, r_d, w, features):
-        p_e = np.sum(G * r_e, axis=1)
-        p_d = np.sum(G * r_d, axis=1)
-        pbar = w[:, 0] * p_e + w[:, 1] * p_d
-        glog_e = w[:, 0] * (p_e - pbar)
-        glog_d = w[:, 1] * (p_d - pbar)
-        return np.array([[np.sum(glog_e * features)], [np.sum(glog_d * features)]])
-
-    y_pos, vjp_pos = unit_scores(rb_bint[bp], rb_iint[bp])
-    y_neg, vjp_neg = unit_scores(rb_bint[bn], rb_iint[bn])
-    loss, c = bpr_loss(y_pos, y_neg)
-    d_pos, d_neg = vjp_pos(c), vjp_neg(-c)
-    b, n_bundles = np.concatenate([bp, bn]), x.r_e_bint.shape[0]
-    GB = scatter_rows(b, np.concatenate([d_pos[0], d_neg[0]]), n_bundles)
-    GI = scatter_rows(b, np.concatenate([d_pos[1], d_neg[1]]), n_bundles)
-    return loss, [gate_grad(GB, x.r_e_bint, x.r_d_bint, w_b, x.bundle_feature),
-                  gate_grad(x.agg.T @ GI, x.r_e_items, x.r_d_items, w_i, x.item_feature)]
-
-
 @pytest.mark.parametrize("chunk", [graph.SCORE_CHUNK, 3])
 def test_view_phase_equals_reference_bitwise(monkeypatch, chunk):
-    """Phase one steps on `graph.two_view_bpr` of the fused tables, whose
-    scores are summed a chunk of rows at a time; its loss and view-gate
-    gradients equal the reference's bit for bit on a batch of 1,100 rows,
-    which crosses chunk boundaries and ends inside a chunk."""
+    """Phase one scores the fused tables through `graph.two_view_loss`, a
+    chunk of rows at a time, and takes the fused tables' gradients from one
+    sparse product per view; its loss and view-gate gradients equal the
+    representation-space reference's within rtol 1e-12 on a batch of 1,100
+    rows, which crosses chunk boundaries and ends inside a chunk."""
     monkeypatch.setattr(graph, "SCORE_CHUNK", chunk)
     split, x = _tiny(d=16)
     gp = GateParams.create(x.d, Rng(12))
@@ -253,9 +223,95 @@ def test_view_phase_equals_reference_bitwise(monkeypatch, chunk):
                rng.integers(n, 0, cat.n_bundles))
     loss, grads = moe._view_phase_loss_and_grads(x, gp, triples)
     ref_loss, ref_grads = view_phase_reference(x, gp, triples)
-    assert loss == ref_loss
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0)
     for got, want in zip(grads, ref_grads):
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _phase_one_case(split, case, rng):
+    """(u, bp, bn) rows of one phase-one batch case."""
+    n_users, n_bundles = split.catalog.n_users, split.catalog.n_bundles
+    if case == "one row":
+        return np.array([3]), np.array([1]), np.array([6])
+    u = rng.integers(40, 0, n_users)
+    bp = np.r_[np.full(15, 2), rng.integers(25, 0, n_bundles)]
+    if case == "repeated bundle":
+        return u, bp, np.r_[np.full(20, 5), rng.integers(20, 0, n_bundles)]
+    # "crossed": every bundle is a positive in some rows and a negative in others
+    return u, bp, np.roll(bp, 7)
+
+
+@pytest.mark.parametrize("case", ["repeated bundle", "crossed", "one row"])
+def test_view_phase_matches_representation_space(case):
+    """Phase one's sparse coefficient product sums a bundle's rows, as the
+    reference's scatters do, where a bundle repeats within a batch, where it
+    is a positive in one row and a negative in another, and in a batch of
+    one row: the loss and the view-gate gradients agree within rtol 1e-12."""
+    split, x = _tiny(d=8)
+    gp = GateParams.create(x.d, Rng(14))
+    triples = _phase_one_case(split, case, Rng(14).derive(case))
+    loss, grads = moe._view_phase_loss_and_grads(x, gp, triples)
+    ref_loss, ref_grads = view_phase_reference(x, gp, triples)
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0)
+    for got, want in zip(grads, ref_grads):
+        assert np.all(want != 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _pseudo_cases(n_users, n_bundles, rng):
+    """18 pseudo triples whose sources repeat: rows 0-5 share the positive
+    pair (1, 2), rows 0-3 the negative pair (2, 1), and the ratios include
+    0 and 1 on both sides."""
+    pseudo = np.zeros(18, dtype=moe.PSEUDO_DTYPE)
+    pseudo["u"] = rng.integers(18, 0, n_users)
+    for side in ("pos", "neg"):
+        bx = rng.integers(18, 0, n_bundles)
+        pseudo[side + "_x"] = bx
+        pseudo[side + "_y"] = (bx + 1 + rng.integers(18, 0, n_bundles - 1)) % n_bundles
+        pseudo[side + "_lam"] = rng.uniform(18)
+    pseudo["pos_x"][:6], pseudo["pos_y"][:6] = 1, 2
+    pseudo["neg_x"][:4], pseudo["neg_y"][:4] = 2, 1
+    pseudo["pos_lam"][[0, 7]] = 0.0, 1.0
+    pseudo["neg_lam"][[2, 9]] = 1.0, 0.0
+    return pseudo
+
+
+def test_phase_two_kernel_matches_representation_space():
+    """Phase two's score-space kernel against `_output_gate_loss_and_grad`
+    over gathered gate inputs and `_pseudo_sides`, batch by batch as
+    train_stage3 slices an epoch: 35 real triples in batches of 3, where
+    bundle 4 repeats and bundles are positives and negatives, and 18 pseudo
+    triples with shared sources and ratios of 0 and 1, two per batch, so
+    the last three batches get an empty pseudo slice and the last batch is
+    short.  Loss and w_out gradient agree within rtol 1e-12."""
+    split, x = _tiny()
+    cat = split.catalog
+    gp = GateParams.create(x.d, Rng(13))
+    rb_bint, rb_iint, _, _ = fused_tables(x, gp)
+    a_table, m_table = np.concatenate([rb_bint, rb_iint], axis=1), moe._pseudo_table(x)
+    rng = Rng(13).derive("rows")
+    u = rng.integers(35, 0, cat.n_users)
+    bp = np.r_[np.full(12, 4), rng.integers(23, 0, cat.n_bundles)]
+    bn = np.roll(bp, 5)
+    s_pos, s_neg = (pair_scores(x.ru_bint, rb_bint, x.ru_iint, rb_iint, u, b) for b in (bp, bn))
+    pseudo = _pseudo_cases(cat.n_users, cat.n_bundles, rng)
+    p_pos, p_neg = moe._pseudo_scores(x, m_table, pseudo)
+    size, per_batch, sizes = 3, 2, []
+    for k, s in enumerate(range(0, 35, size)):
+        rows, part = slice(s, s + size), slice(k * per_batch, (k + 1) * per_batch)
+        extra = pseudo[part]
+        sides = [(a_table, s_pos[rows], bp[rows], s_neg[rows], bn[rows])]
+        ref_sides = [(s_pos[rows], a_table[bp[rows]], s_neg[rows], a_table[bn[rows]])]
+        if len(extra):
+            sides.append((m_table, p_pos[part], moe._sources(extra, "pos"),
+                          p_neg[part], moe._sources(extra, "neg")))
+            ref_sides.append(moe._pseudo_sides(x, extra))
+        loss, grad = moe._score_space_loss_and_grad(gp.w_out, sides)
+        ref_loss, ref_grad = moe._output_gate_loss_and_grad(gp.w_out, ref_sides)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0)
+        sizes.append((len(u[rows]), len(extra)))
+    assert sizes[-1] == (2, 0) and [n for _, n in sizes].count(0) == 3
 
 
 def test_phase_two_skips_view_gate_gradients_bitwise():
@@ -281,8 +337,10 @@ def test_phase_two_skips_view_gate_gradients_bitwise():
                                                (0.5, 8, 3), (0.0, 8, 3)])
 def test_phase_two_equals_reference_bitwise(monkeypatch, eta, batch, chunk):
     """train_stage3 scores the phase's shared work once and steps both forks
-    side by side; its gate sets and history equal those of the fork-by-fork
-    reference that steps on the all-gates loss.  35 train pairs in batches of
+    side by side in score space; its gate sets equal those of the fork-by-fork
+    representation-space reference that steps on the all-gates loss within
+    rtol 1e-12, its losses too, and its validation recalls and best epoch
+    exactly.  35 train pairs in batches of
     8 leave a short last batch and 18 pseudo triples that the 5 batches do
     not divide; in batches of 3 the last three batches get no pseudo triple.
     A scoring chunk of 3 rows splits every batch's pseudo triples and the
@@ -298,8 +356,13 @@ def test_phase_two_equals_reference_bitwise(monkeypatch, eta, batch, chunk):
     assert (gp0 is gp) == (ref0 is ref) == (eta == 0)
     for trained, want in ((gp, ref), (gp0, ref0)):
         for p, q in zip(trained.params(), want.params()):
-            np.testing.assert_array_equal(p, q)
-    assert history == ref_history
+            np.testing.assert_allclose(p, q, rtol=1e-12, atol=0)
+    assert history.keys() == ref_history.keys()
+    for key, value in history.items():
+        if key.endswith("_loss"):
+            np.testing.assert_allclose(value, ref_history[key], rtol=1e-12, atol=0)
+        else:
+            assert value == ref_history[key], key
 
 
 def test_pseudo_triples_properties():

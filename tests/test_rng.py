@@ -91,9 +91,9 @@ def test_beta_mean_symmetric():
 
 @pytest.mark.parametrize("block", [1, 3, 7, 4096])
 def test_replay_reads_the_scalar_stream(monkeypatch, block):
-    """raw/raws/uniform hand out the scalar calls' draws, across block
-    boundaries and requests longer than a block, and the counter ends just
-    past the last draw handed out."""
+    """raw/uniform hand out the scalar calls' draws, across block
+    boundaries and runs of draws longer than a block, and the counter ends
+    just past the last draw handed out."""
     monkeypatch.setattr(rng_module, "REPLAY_BLOCK", block)
     ref = Rng(31)
     ref.raw(5)
@@ -101,7 +101,7 @@ def test_replay_reads_the_scalar_stream(monkeypatch, block):
     r.raw(5)
     with r.replay() as draws:
         for n in (1, 2, 9, 1, 0, 4, 20, 1):
-            assert draws.raws(n) == ref.raw(n).tolist()
+            assert [draws.raw() for _ in range(n)] == ref.raw(n).tolist()
             assert draws.raw() == int(ref.raw(1)[0])
             assert draws.uniform() == ref.uniform(1)[0]
     assert r._counter == ref._counter
@@ -114,7 +114,7 @@ def test_replay_sets_counter_on_exception_and_without_draws():
         pass
     assert r._counter == 0
     with pytest.raises(KeyError), r.replay() as draws:
-        draws.raws(3)
+        [draws.raw() for _ in range(3)]
         raise KeyError("stop")
     assert r._counter == 3
 
