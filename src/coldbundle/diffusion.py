@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from .config import RunConfig
 from .data import InteractionSet, Kind, PositivesIndex
-from .errors import ContractError, DivergenceError
+from .errors import ContractError, DivergenceError, ShapeError
 from .graph import _sample_negatives, bpr_loss, membership_matrix
 from .metrics import rank_candidates
 from .nn import Adam, Mlp, scatter_rows
@@ -126,16 +126,10 @@ def make_denoiser(d: int, d_cond: int, d_time: int, rng: Rng, hidden: int | None
 
 
 def denoiser_forward(den: Denoiser, x_t: np.ndarray, cond: np.ndarray,
-                     t, s: NoiseSchedule):
-    """Batched x0 prediction; returns (x0_hat, tape)."""
-    x_t = np.atleast_2d(x_t)
-    cond = np.atleast_2d(cond)
-    if np.isscalar(t):
-        # One embedding row serves every row of the batch.
-        temb = np.broadcast_to(time_embedding(t, s.T, den.d_time), (x_t.shape[0], den.d_time))
-    else:
-        temb = time_embedding(np.asarray(t), s.T, den.d_time)
-    inp = np.concatenate([x_t, cond, temb], axis=1)
+                     t: np.ndarray, s: NoiseSchedule):
+    """Batched x0 prediction at steps t, one per row; returns (x0_hat, tape)."""
+    temb = time_embedding(np.asarray(t), s.T, den.d_time)
+    inp = np.concatenate([np.atleast_2d(x_t), np.atleast_2d(cond), temb], axis=1)
     return den.net.forward(inp)
 
 
@@ -243,19 +237,34 @@ def reverse_denoise(start: np.ndarray, cond: np.ndarray, den: Denoiser,
     x at the first kept step is the anchor; each step predicts x0, extracts
     the implied noise, and re-applies it at the next kept step.  Output is
     the final x0 prediction.
+
+    The loop keeps no tape.  The denoiser input [x | cond | time embedding]
+    is one array: its condition columns are written once, its x columns
+    and its step's time-embedding row (broadcast to every row) on each
+    step, and `Mlp.infer` runs it in two hidden-layer buffers kept for the
+    whole loop.
     """
     ts = strided_timesteps(s.T, T_prime)
-    x = np.atleast_2d(np.asarray(start, dtype=np.float64)).copy()
+    x = np.atleast_2d(np.asarray(start, dtype=np.float64))
     cond = np.atleast_2d(cond)
+    n, d = x.shape
+    if cond.shape[0] != n:
+        raise ShapeError(f"{cond.shape[0]} condition rows for {n} start rows")
+    d_in = d + cond.shape[1]
+    inp = np.empty((n, d_in + den.d_time))
+    inp[:, d:d_in] = cond
+    buffers = den.net.hidden_buffers(n)
     x0_hat = None
     for i, t in enumerate(ts.tolist()):
-        x0_hat, _ = denoiser_forward(den, x, cond, int(t), s)
+        inp[:, :d] = x
+        inp[:, d_in:] = time_embedding(t, s.T, den.d_time)
+        x0_hat = den.net.infer(inp, buffers)
         if not np.all(np.isfinite(x0_hat)):
             raise DivergenceError(f"non-finite denoiser output at step index {i} (t={t})")
         if i + 1 < ts.size:
-            eps_hat = implied_noise(x, x0_hat, int(t), s)
+            eps_hat = implied_noise(x, x0_hat, t, s)
             x = forward_noise(x0_hat, int(ts[i + 1]), eps_hat, s)
-    if start.ndim == 1:
+    if np.ndim(start) == 1:
         return x0_hat[0]
     return x0_hat
 

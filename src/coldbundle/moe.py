@@ -158,6 +158,24 @@ def _score_matrix(x: ExpertOutputs, rb_bint: np.ndarray, rb_iint: np.ndarray,
     return (x.ru_bint @ rb_bint.T) * g[:, 0][None, :] + (x.ru_iint @ rb_iint.T) * g[:, 1][None, :]
 
 
+def _fork_score_matrices(x: ExpertOutputs, rb_bint: np.ndarray, rb_iint: np.ndarray,
+                         gates: list[np.ndarray]):
+    """Yield `_score_matrix(x, rb_bint, rb_iint, g)` for each g of `gates`,
+    bit for bit, from one product per view: phase two's forks share their
+    frozen view tables.  The last matrix weights the products in place, so
+    one fork needs no more memory than `_score_matrix`."""
+    by_bint = x.ru_bint @ rb_bint.T
+    by_iint = x.ru_iint @ rb_iint.T
+    for g in gates[:-1]:
+        yield by_bint * g[:, 0][None, :] + by_iint * g[:, 1][None, :]
+    g = gates[-1]
+    by_bint *= g[:, 0][None, :]
+    by_iint *= g[:, 1][None, :]
+    by_bint += by_iint
+    del by_iint  # free before the caller ranks, as `_score_matrix` does
+    yield by_bint
+
+
 def score_all(x: ExpertOutputs, gp: GateParams) -> np.ndarray:
     """Full (n_users, n_bundles) score matrix."""
     rb_bint, rb_iint, _, _ = fused_tables(x, gp)
@@ -736,7 +754,8 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
     # Phase two: output gate on frozen view routing, real plus pseudo
     # triples, in score space.  The tables A and M and the positive side's
     # view scores hold for the whole phase; each epoch scores its negatives
-    # once for both forks, and its pseudo triples once.
+    # once for both forks, and its pseudo triples once, and validates both
+    # forks on one user-bundle product per view.
     rb_bint, rb_iint, _, _ = fused_tables(x, gp)
     a_table, m_table = np.concatenate([rb_bint, rb_iint], axis=1), _pseudo_table(x)
     pos_scores = pair_scores(x.ru_bint, rb_bint, x.ru_iint, rb_iint, users_all, pos_all)
@@ -771,8 +790,9 @@ def train_stage3(split: ScenarioSplit, x: ExpertOutputs, cfg: RunConfig):
                     raise DivergenceError(f"gate loss diverged at epoch {epoch}")
                 epoch_loss[f] += loss
                 opt.step([g.w_out], [grad])
-        for f, (g, _) in enumerate(forks):
-            scores = _score_matrix(x, rb_bint, rb_iint, output_gate(a_table, g.w_out))
+        gates = [output_gate(a_table, g.w_out) for g, _ in forks]
+        fork_scores = _fork_score_matrices(x, rb_bint, rb_iint, gates)
+        for f, ((g, _), scores) in enumerate(zip(forks, fork_scores)):
             val_recall = _recall_at_k(scores, split.train_x, split.val_x)
             if f == 0:
                 history["out_loss"].append(epoch_loss[0] / max(1, n_pairs + len(pseudo[0])))

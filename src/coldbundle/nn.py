@@ -14,27 +14,51 @@ import numpy as np
 from .errors import ContractError, DivergenceError, ShapeError
 
 
-def _sigmoid(x):
-    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) otherwise, without
-    boolean-mask gathers.  min(x, -x) is -|x| and keeps a NaN's sign.
+# Rows per block of the inference path's in-place bias add and SiLU: a
+# 128 x 256 float64 block is 256 KB, so a block and its scratch stay in cache.
+SILU_ROWS = 128
 
+
+def _sigmoid_into(x, e, d):
+    """sigmoid(x) written into e, with d (e's shape) as scratch; returns e.
+
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) otherwise, without
+    boolean-mask gathers.  min(x, -x) is -|x| and keeps a NaN's sign.
     With e = e^-|x|, the numerator is 1 where x >= 0 and e elsewhere; as
     0 <= e <= 1, that is max(e, x >= 0), and a NaN e stays as it is.  The
     max is a branch-free select, where a masked divide branches on the
-    sign of every element."""
-    e = np.negative(x)
+    sign of every element.  Every sigmoid of the package runs these
+    operations in this order."""
+    np.negative(x, out=e)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    d = e + 1.0
+    np.add(e, 1.0, out=d)
     np.maximum(e, x >= 0, out=e)
     e /= d
     return e
+
+
+def _sigmoid(x):
+    return _sigmoid_into(x, np.empty_like(x), np.empty_like(x))
 
 
 def silu(x):
     s = _sigmoid(x)
     s *= x
     return s
+
+
+def _bias_silu_in_place(h: np.ndarray, bias: np.ndarray, scratch: np.ndarray) -> None:
+    """h = silu(h + bias) in place, SILU_ROWS rows at a time: bitwise the
+    training forward's `pre += bias` and `silu(pre)`.  scratch is (2, m)
+    with m at least the size of a block, min(len(h), SILU_ROWS) rows."""
+    for r in range(0, h.shape[0], SILU_ROWS):
+        blk = h[r:r + SILU_ROWS]
+        blk += bias
+        size = blk.size
+        s = _sigmoid_into(blk, scratch[0, :size].reshape(blk.shape),
+                          scratch[1, :size].reshape(blk.shape))
+        np.multiply(s, blk, out=blk)
 
 
 def silu_grad(x):
@@ -87,13 +111,17 @@ class Mlp:
             out.extend([layer.weight, layer.bias])
         return out
 
-    def forward(self, x: np.ndarray):
-        """Batch forward; returns (output, tape).  x is (n, in_dim)."""
+    def _checked_input(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.in_dim:
             raise ShapeError(f"input dim {x.shape[1]} != expected {self.in_dim}")
         if not np.all(np.isfinite(x)):
             raise ContractError("non-finite input to forward pass")
+        return x
+
+    def forward(self, x: np.ndarray):
+        """Batch forward; returns (output, tape).  x is (n, in_dim)."""
+        x = self._checked_input(x)
         tape = [x]
         h = x
         last = len(self.layers) - 1
@@ -103,6 +131,36 @@ class Mlp:
             h = silu(pre) if li < last else pre
             tape.extend([pre, h])
         return h, tape
+
+    @property
+    def _hidden_width(self) -> int:
+        return max((layer.bias.size for layer in self.layers[:-1]), default=0)
+
+    def hidden_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The two hidden-layer buffers `infer` writes for n rows.  A caller
+        that infers on n rows again and again keeps them across calls."""
+        return np.empty(n * self._hidden_width), np.empty(n * self._hidden_width)
+
+    def infer(self, x: np.ndarray, buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """forward(x)[0] bit for bit, keeping no tape; refuses what forward
+        refuses.
+
+        Hidden layer i writes its product (the same BLAS call on the same
+        operands) into buffers[i % 2], from `hidden_buffers`, then adds its
+        bias and applies its SiLU there in place, SILU_ROWS rows at a time.
+        Only the last layer's output is a new array."""
+        x = self._checked_input(x)
+        n = x.shape[0]
+        scratch = np.empty((2, min(n, SILU_ROWS) * self._hidden_width))
+        h = x
+        for li, layer in enumerate(self.layers[:-1]):
+            out = buffers[li % 2][:n * layer.bias.size].reshape(n, layer.bias.size)
+            np.matmul(h, layer.weight.T, out=out)
+            _bias_silu_in_place(out, layer.bias, scratch)
+            h = out
+        y = h @ self.layers[-1].weight.T
+        y += self.layers[-1].bias
+        return y
 
     def backward(self, tape, grad_out: np.ndarray):
         """Gradients of <grad_out, output> wrt params and input.

@@ -77,8 +77,11 @@ def test_evaluation_and_validation_rank_through_the_traced_kernel():
 
 
 def test_anchor_search_counts_blocks_and_mlp_spans_record(monkeypatch):
-    """generate_all calls diffusion.anchor once per row block, and the MLP
-    forward/backward and Adam step still record spans under their names."""
+    """generate_all calls diffusion.anchor once per row block, and training's
+    MLP forward/backward and Adam step still record spans under their names.
+    Generation runs the tapeless `Mlp.infer`, so it records no
+    nn.mlp_forward span: that per-layer metric times training only, and
+    inference is generate_all's self time."""
     _, _, comps = _view_inputs()
     n_bundles, n_items = comps["bint"].shape
     monkeypatch.setattr(diffusion, "ANCHOR_BLOCK", 8)
@@ -94,14 +97,18 @@ def test_anchor_search_counts_blocks_and_mlp_spans_record(monkeypatch):
         den = diffusion.train_diffusion(reps[warm], cond.bundle_cond[warm], s,
                                         RunConfig(diff_epochs=1, d_time=4),
                                         rng.derive("den"))
+        trained = len(rec.spans)
         diffusion.generate_all(comps["bint"], reps, warm, cond.bundle_cond, den, s, 4, 3)
     finally:
         rec.stop()
     layer = rec.per_layer()
     assert layer["diffusion.anchor_calls"]["value"] == -(-n_bundles // 8)
-    names = {span[0] for span in rec.spans}
-    assert {"nn.mlp_forward", "nn.mlp_backward", "nn.adam_step",
-            "diffusion.generate_all"} <= names
+    training = {span[0] for span in rec.spans[:trained]}
+    assert {"diffusion.train_diffusion", "nn.mlp_forward", "nn.mlp_backward",
+            "nn.adam_step"} <= training
+    generation = [span[0] for span in rec.spans[trained:]]
+    assert "diffusion.generate_all" in generation
+    assert "nn.mlp_forward" not in generation
 
 
 def test_stage3_sampler_spans_and_counts():

@@ -1,5 +1,7 @@
 """Noise schedules, reparameterization, anchors, strided sampling, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,8 +15,8 @@ from coldbundle.diffusion import (
     make_denoiser, make_schedule, pretrain_conditions, reverse_denoise,
     strided_timesteps, time_embedding, train_diffusion,
 )
-from coldbundle.errors import ContractError, DegenerateSplitError
-from coldbundle.nn import finite_diff_check
+from coldbundle.errors import ContractError, DegenerateSplitError, DivergenceError, ShapeError
+from coldbundle.nn import SILU_ROWS, finite_diff_check
 from coldbundle.rng import Rng
 
 
@@ -269,10 +271,108 @@ def test_generate_all_blocks_equal_per_entity_reference(view, monkeypatch):
 
 
 def test_scalar_timestep_embeds_once_bitwise():
+    """The inference path broadcasts one embedding row of its step; that
+    equals the per-row embeddings of the training forward, bitwise."""
     rng = Rng(2)
     s = make_schedule("linear", 40)
     den = make_denoiser(3, 2, 8, rng)
     x, cond = rng.normal((5, 3)), rng.normal((5, 2))
-    a, _ = denoiser_forward(den, x, cond, 17, s)
+    row = np.broadcast_to(time_embedding(17, s.T, den.d_time), (5, den.d_time))
+    per_row = time_embedding(np.full(5, 17), s.T, den.d_time)
+    assert row.tobytes() == per_row.tobytes()
+    a = den.net.infer(np.concatenate([x, cond, row], axis=1), den.net.hidden_buffers(5))
     b, _ = denoiser_forward(den, x, cond, np.full(5, 17), s)
     assert a.tobytes() == b.tobytes()
+
+
+def _reverse_denoise_reference(start, cond, den, s, T_prime):
+    """The tape-keeping loop the tapeless one replaced: a concatenated input
+    and a full training forward on every step."""
+    ts = strided_timesteps(s.T, T_prime)
+    x = np.atleast_2d(np.asarray(start, dtype=np.float64)).copy()
+    cond = np.atleast_2d(cond)
+    x0_hat = None
+    for i, t in enumerate(ts.tolist()):
+        temb = np.broadcast_to(time_embedding(t, s.T, den.d_time), (x.shape[0], den.d_time))
+        x0_hat, _ = den.net.forward(np.concatenate([x, cond, temb], axis=1))
+        if i + 1 < ts.size:
+            eps_hat = implied_noise(x, x0_hat, int(t), s)
+            x = forward_noise(x0_hat, int(ts[i + 1]), eps_hat, s)
+    return x0_hat[0] if start.ndim == 1 else x0_hat
+
+
+@pytest.mark.parametrize("dims,n", [((3, 2, 4, 10), 1), ((4, 3, 6, 40), SILU_ROWS + 1),
+                                    ((64, 64, 64, 256), 2 * SILU_ROWS + 3)])
+@pytest.mark.parametrize("T_prime", [1, 7, 20])
+def test_reverse_denoise_equals_tape_reference_bitwise(dims, n, T_prime):
+    d, d_c, d_time, hidden = dims
+    rng = Rng(8)
+    s = make_schedule("cosine", 200)
+    den = make_denoiser(d, d_c, d_time, rng, hidden=hidden)
+    start, cond = rng.normal((n, d)), rng.normal((n, d_c))
+    kept = start.copy(), cond.copy()
+    got = reverse_denoise(start, cond, den, s, T_prime)
+    want = _reverse_denoise_reference(start, cond, den, s, T_prime)
+    assert got.shape == want.shape == (n, d)
+    assert got.tobytes() == want.tobytes()
+    assert start.tobytes() == kept[0].tobytes() and cond.tobytes() == kept[1].tobytes()
+    one = reverse_denoise(start[0], cond[0], den, s, T_prime)
+    assert one.shape == (d,)
+    assert one.tobytes() == _reverse_denoise_reference(start[0], cond[0], den, s,
+                                                       T_prime).tobytes()
+
+
+def test_reverse_denoise_refusals(monkeypatch):
+    """A non-finite anchor or condition is the forward's ContractError, a
+    width mismatch its ShapeError; a non-finite output is a DivergenceError
+    that names its step index."""
+    rng = Rng(9)
+    s = make_schedule("linear", 50)
+    den = make_denoiser(3, 2, 4, rng, hidden=8)
+    start, cond = rng.normal((4, 3)), rng.normal((4, 2))
+    for bad in (np.nan, np.inf):
+        for arr in (start, cond):
+            poisoned = arr.copy()
+            poisoned[1, 1] = bad
+            args = (poisoned, cond) if arr is start else (start, poisoned)
+            with pytest.raises(ContractError, match="non-finite input"):
+                reverse_denoise(*args, den, s, 5)
+    with pytest.raises(ShapeError):
+        reverse_denoise(start, rng.normal((4, 3)), den, s, 5)
+    with pytest.raises(ShapeError):
+        reverse_denoise(start, cond[:3], den, s, 5)
+
+    infer, calls = den.net.infer, []
+
+    def nan_on_third_step(inp, buffers):
+        out = infer(inp, buffers)
+        calls.append(len(calls))
+        if len(calls) == 3:
+            out[2, 0] = np.nan
+        return out
+    monkeypatch.setattr(den.net, "infer", nan_on_third_step)
+    t = int(strided_timesteps(s.T, 5)[2])
+    with pytest.raises(DivergenceError, match=rf"step index 2 \(t={t}\)"):
+        reverse_denoise(start, cond, den, s, 5)
+    monkeypatch.undo()
+    den.net.layers[-1].bias[1] = np.inf
+    with pytest.raises(DivergenceError, match="step index 0 "):
+        reverse_denoise(start, cond, den, s, 5)
+
+
+def test_reverse_denoise_traced_peak():
+    """800 rows (the acceptance data's item view) through the default-sized
+    denoiser, hidden width 256 and T' = 20: the tape-keeping loop peaked at
+    17.84 MiB; the tapeless one keeps two hidden buffers and one input."""
+    cfg = RunConfig()
+    rng = Rng(10)
+    s = make_schedule(cfg.schedule, cfg.T)
+    den = make_denoiser(cfg.d, cfg.d_c, cfg.d_time, rng, hidden=256)
+    start, cond = rng.normal((800, cfg.d)), rng.normal((800, cfg.d_c))
+    tracemalloc.start()
+    try:
+        reverse_denoise(start, cond, den, s, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2 ** 20, peak / 2 ** 20

@@ -365,6 +365,21 @@ def test_phase_two_equals_reference_bitwise(monkeypatch, eta, batch, chunk):
             assert value == ref_history[key], key
 
 
+@pytest.mark.parametrize("n_forks", [1, 2, 3])
+def test_fork_score_matrices_equal_score_matrix_bitwise(n_forks):
+    """Phase two's validation shares one product per view between its
+    forks; every fork's matrix is `_score_matrix`'s, bitwise."""
+    _, x = _tiny(seed=3)
+    gp = GateParams.create(x.d, Rng(1))
+    rb_bint, rb_iint, _, _ = fused_tables(x, gp)
+    gates = [output_gate(np.concatenate([rb_bint, rb_iint], axis=1),
+                         Rng(2 + f).normal((2, 2 * x.d))) for f in range(n_forks)]
+    got = list(moe._fork_score_matrices(x, rb_bint, rb_iint, gates))
+    assert len(got) == n_forks
+    for m, g in zip(got, gates):
+        assert m.tobytes() == moe._score_matrix(x, rb_bint, rb_iint, g).tobytes()
+
+
 def test_pseudo_triples_properties():
     split, _ = _tiny()
     rng = Rng(7)

@@ -5,7 +5,7 @@ import pytest
 
 from coldbundle.errors import ContractError, DivergenceError, ShapeError
 from coldbundle.nn import (
-    Adam, Mlp, _sigmoid, finite_diff_check, scatter_rows, silu, silu_grad,
+    SILU_ROWS, Adam, Mlp, _sigmoid, finite_diff_check, scatter_rows, silu, silu_grad,
 )
 from coldbundle.rng import Rng
 
@@ -105,6 +105,41 @@ def test_mlp_passes_equal_out_of_place_reference_bitwise(dims):
     for got, want in zip(grads + [gx], ref_grads + [ref_gx]):
         assert got.tobytes() == want.tobytes()
     assert grad_out.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("dims", [[5, 40, 3], [12, 256, 100, 256, 7]])
+@pytest.mark.parametrize("n", [1, SILU_ROWS - 1, SILU_ROWS, SILU_ROWS + 1, 2 * SILU_ROWS + 3])
+def test_infer_equals_forward_bitwise(dims, n):
+    """A 2- and a 4-layer net (hidden widths that differ, so the two buffers
+    are sliced to each layer's width), row counts around the SiLU block;
+    the buffers are reused by a second call, the input is left as it was."""
+    rng = Rng(5)
+    net = Mlp.create(dims, rng)
+    x = rng.normal((n, dims[0])) * 3.0
+    kept = x.copy()
+    want, _ = net.forward(x)
+    buffers = net.hidden_buffers(n)
+    for _ in range(2):
+        got = net.infer(x, buffers)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not any(np.shares_memory(got, b) for b in buffers)
+    assert x.tobytes() == kept.tobytes()
+
+
+def test_infer_without_hidden_layers_and_refusals():
+    net = Mlp.create([4, 2], Rng(0))
+    x = Rng(1).normal((3, 4))
+    assert net.infer(x, net.hidden_buffers(3)).tobytes() == net.forward(x)[0].tobytes()
+    net = Mlp.create([5, 8, 3], Rng(0))
+    buffers = net.hidden_buffers(4)
+    with pytest.raises(ShapeError):
+        net.infer(np.ones((4, 6)), buffers)
+    for bad in (np.nan, np.inf):
+        x = np.ones((4, 5))
+        x[2, 3] = bad
+        with pytest.raises(ContractError):
+            net.infer(x, buffers)
 
 
 def test_silu_grad_matches_fd():
