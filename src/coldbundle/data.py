@@ -8,6 +8,7 @@ produces dense ids plus an ``idmap.tsv`` sidecar.
 from __future__ import annotations
 
 import bisect
+import io
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -102,8 +103,7 @@ class PositivesIndex:
     The set's canonical (row, col) order makes `cols` the CSR indices and
     `rows * n_cols + cols` an ascending key array, so membership is one
     `searchsorted`.  A split holds one for its train positives; `holds`
-    serves per-draw Python loops from cached list copies, and
-    `contains_bits` many lookups from a cached table of one bit per cell.
+    serves per-draw Python loops from cached list copies.
     """
 
     n_cols: int
@@ -128,20 +128,6 @@ class PositivesIndex:
         found = at < self.keys.size
         found[found] = self.keys[at[found]] == keys[found]
         return found
-
-    @cached_property
-    def _bits(self) -> np.ndarray:
-        """One bit per (row, col) cell, set at the positives: bit k % 8 of
-        byte k // 8 for the cell with key k."""
-        bits = np.zeros(-(-(self.indptr.size - 1) * self.n_cols // 8), dtype=np.uint8)
-        np.bitwise_or.at(bits, self.keys >> 3, (1 << (self.keys & 7)).astype(np.uint8))
-        return bits
-
-    def contains_bits(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """`contains` through a bit table of every cell, built on first use:
-        cheaper per query, at n_rows * n_cols / 8 bytes."""
-        keys = rows * self.n_cols + cols
-        return ((self._bits[keys >> 3] >> (keys & 7)) & 1).astype(bool)
 
     @cached_property
     def _lists(self) -> tuple[list[int], list[int]]:
@@ -189,24 +175,31 @@ def _read_pairs(path) -> tuple:
     back); any other file goes through the line loop (lists of ints come
     back, ids beyond int64 included), which also reports the errors.
     """
-    fast = _pairs_fast(Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    fast = _pairs_fast(data)
     if fast is not None:
         return fast
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        line_no = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise ParseError(path, line_no, f"byte {data[exc.start]:#04x} is not UTF-8") from None
     rows, cols = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, f"expected two tab-separated fields, got {len(parts)}")
-            try:
-                r, c = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
-            rows.append(r)
-            cols.append(c)
+    # universal newlines, as a text-mode file reads them
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(path, line_no, f"expected two tab-separated fields, got {len(parts)}")
+        try:
+            r, c = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
+        rows.append(r)
+        cols.append(c)
     return rows, cols
 
 

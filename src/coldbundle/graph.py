@@ -209,20 +209,18 @@ def _sample_negatives(rng: Rng, users: np.ndarray, candidates: np.ndarray,
     `candidates` outside the row's positives, redrawing collisions.
 
     Stage 1 passes train-interacted bundles only, so cold embeddings receive
-    no gradient and stay at their initial values.  A row whose positives
-    cover every candidate raises DegenerateSplitError before any draw.
+    no gradient and stay at their initial values.  `candidates` must hold
+    every positive, so a row whose degree reaches `candidates.size` has no
+    negative left; it raises DegenerateSplitError before any draw.
 
     Every row takes one draw from one array call; then each colliding row,
     in row order, redraws one scalar at a time until it misses its
     positives.  Rows that do not collide draw nothing more, so the stream
     is that of a scalar loop over all rows.
     """
-    covered = np.bincount(positives.rows[np.isin(positives.cols, candidates)],
-                          minlength=positives.indptr.size - 1)
-    present = np.unique(users)
-    full = present[covered[present] >= candidates.size]
+    full = users[positives.degrees()[users] >= candidates.size]
     if full.size:
-        raise DegenerateSplitError(f"row {full[0]} has no negative candidate left")
+        raise DegenerateSplitError(f"row {full.min()} has no negative candidate left")
     neg = candidates[rng.integers(users.size, 0, candidates.size)]
     redo = np.flatnonzero(positives.contains(users, neg))
     if redo.size:

@@ -14,19 +14,16 @@ cheap to vectorize.  Integer draws use modulo reduction; the bias is
 negligible for the ranges used here (< 2**32) and keeps the stream layout
 simple.
 
-Samplers whose draw count depends on the values drawn (rejection loops)
-read the stream through :class:`Replay`.  It fetches raws with one
-``Rng.raw`` call per block of REPLAY_BLOCK and hands them out one by one
-as Python ints.  Since draw ``i`` depends only on (seed, i), handing out
-draw ``i`` from a pre-fetched block gives exactly the value a scalar
-``raw(1)`` call at counter ``i`` would have; on exit the replay sets the
-counter to the first raw it did not hand out, so the stream continues as
-if every draw had been a scalar call.  A sampler that fetches raws ahead
-in arrays (the stage-3 pseudo-triple sampler) gives the ones it did not use
-back with ``Rng.unread``, to the same effect.
+The negative sampler's redraws read the stream one draw at a time through
+:class:`Replay`, which fetches raws in blocks of REPLAY_BLOCK and on exit
+sets the counter just past the last raw it handed out, so the stream is
+that of scalar ``raw(1)`` calls.  Johnk's Beta draws run in array rounds
+(:func:`johnk_beta`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -116,13 +113,6 @@ class Rng:
         """Scalar reader over the rest of this stream (a context manager)."""
         return Replay(self)
 
-    def unread(self, n: int) -> None:
-        """Give back the last ``n`` raws drawn: the next draw is the first
-        of them again."""
-        if not 0 <= n <= self._counter:
-            raise ValueError("cannot unread more raws than were drawn")
-        self._counter -= n
-
 
 def johnk_log_ratio(u: float, v: float, a: float, b: float) -> float:
     """Johnk's Beta(a, b) value for an accepted pair (u, v) whose powers
@@ -131,6 +121,45 @@ def johnk_log_ratio(u: float, v: float, a: float, b: float) -> float:
     ly = np.log(max(v, 1e-300)) / b
     m = max(lx, ly)
     return float(np.exp(lx - m) / (np.exp(lx - m) + np.exp(ly - m)))
+
+
+# Pair sums x + y this close to 1 decide Johnk's test with scalar pow: the
+# array power of the test may round an ulp away from the scalar pow that
+# defines each draw.
+_NEAR_ONE = 8 * 2.0 ** -52
+_array_pow = np.power
+
+
+def johnk_beta(rng: Rng, n: int, a: float) -> np.ndarray:
+    """``n`` Beta(a, a) draws (Johnk's rejection algorithm) in array rounds.
+
+    Each round draws the u's, then the v's, of every pending lane in one
+    ``uniform`` call and accepts the lanes where u ** (1/a) + v ** (1/a)
+    <= 1; the rest wait for the next round.  The test runs on numpy's array
+    pow and is decided again with scalar pow where the sum lies within
+    _NEAR_ONE of 1, and an accepted lane's value x / (x + y) comes from
+    scalar pow (`johnk_log_ratio` where both powers underflow), so the
+    draws do not depend on how numpy's array pow rounds.
+    """
+    inv = 1.0 / a
+    lam = np.empty(n)
+    pending = np.arange(n)
+    while pending.size:
+        u, v = rng.uniform(2 * pending.size).reshape(2, -1)
+        total = _array_pow(u, inv) + _array_pow(v, inv)
+        accept = total <= 1.0
+        near = np.flatnonzero(np.abs(total - 1.0) <= _NEAR_ONE)
+        for k, uk, vk in zip(near.tolist(), u[near].tolist(), v[near].tolist()):
+            accept[k] = math.pow(uk, inv) + math.pow(vk, inv) <= 1.0
+        us, vs = u[accept].tolist(), v[accept].tolist()
+        x, y = np.array([math.pow(w, inv) for w in us + vs]).reshape(2, -1)
+        with np.errstate(invalid="ignore"):
+            ratio = x / (x + y)
+        for k in np.flatnonzero(x + y == 0.0).tolist():
+            ratio[k] = johnk_log_ratio(us[k], vs[k], a, a)
+        lam[pending[accept]] = ratio
+        pending = pending[~accept]
+    return lam
 
 
 class Replay:
@@ -163,27 +192,3 @@ class Replay:
             self._pos = 0
         self._pos += 1
         return self._buf[self._pos - 1]
-
-    def uniform(self) -> float:
-        """The next draw as a double on [0, 1), equal to ``rng.uniform(1)[0]``:
-        the top 53 bits are exact in a double and the scale is a power of
-        two."""
-        return (self.raw() >> 11) * 2.0 ** -53
-
-    def beta(self, a: float, b: float) -> float:
-        """One Beta(a, b) draw (Johnk's rejection algorithm).
-
-        Each attempt takes two uniforms u, v.  Python floats and numpy
-        float64 scalars share the C library's pow and IEEE arithmetic, so
-        the value equals the same formula on numpy scalars bit for bit
-        (numpy's array power may round differently).
-        """
-        while True:
-            u = self.uniform()
-            v = self.uniform()
-            x = u ** (1.0 / a)
-            y = v ** (1.0 / b)
-            if x + y <= 1.0:
-                if x + y > 0.0:
-                    return x / (x + y)
-                return johnk_log_ratio(u, v, a, b)

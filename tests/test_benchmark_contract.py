@@ -57,6 +57,29 @@ def test_traced_stage3_times_its_kernels():
     assert layer["moe.sample_pseudo_triples_s"]["value"] > 0
 
 
+def test_traced_pseudo_sampler_records_and_counts_its_draws():
+    """A traced cold_start train_stage3 still records the pseudo-triple
+    sampler's span and triple count, and rng.draws counts every draw the
+    sampler makes through Rng.raw."""
+    split, x = _tiny()
+    rec = _recorder()
+    rec.start("t")
+    try:
+        moe.train_stage3(split, x, RunConfig(eta=0.5, stage3_epochs=1, stage3_batch=16))
+    finally:
+        rec.stop()
+    assert "moe.sample_pseudo_triples" in [span[0] for span in rec.spans]
+    assert rec.counts["t"]["moe.pseudo_triples"] == round(0.5 * len(split.train_x))
+    rng = Rng(3)
+    rec.start("s")
+    try:
+        moe.sample_pseudo_triples(split, 500, 0.9, rng)
+    finally:
+        rec.stop()
+    # the users and two rank pairs take five raws a triple, Johnk two a round
+    assert rec.counts["s"]["rng.draws"] == rng._counter > 5 * 500 + 2 * 2 * 500
+
+
 def test_evaluation_and_validation_rank_through_the_traced_kernel():
     """metrics.evaluate and graph._recall_at_k rank through
     metrics.rank_candidates, which the tracer times by that name."""

@@ -100,6 +100,26 @@ def test_ingest_subcommand(tmp_path):
     assert catalog == {"n_bundles": 1, "n_items": 2, "n_users": 2}
 
 
+@pytest.mark.parametrize("bad", ["user_bundle.tsv", "user_item.tsv", "bundle_item.tsv"])
+@pytest.mark.parametrize("command", ["ingest", "split"])
+def test_tsv_byte_that_is_not_utf8_exits_1(tmp_path, capsys, bad, command):
+    """A TSV byte that is not UTF-8 exits 1 with one error line naming the
+    file and line, through `ingest --raw` and through `--data-dir` loading."""
+    src = tmp_path / "tsv"
+    src.mkdir()
+    for name in ("user_bundle.tsv", "user_item.tsv", "bundle_item.tsv"):
+        (src / name).write_bytes(b"1\t2\n")
+    (src / bad).write_bytes(b"1\t2\n1\t\xff\n")
+    out = tmp_path / "o"
+    argv = (["ingest", "--raw", str(src)] if command == "ingest"
+            else ["--data-dir", str(src), "split"])
+    capsys.readouterr()
+    assert main(["--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{src / bad}:2: byte 0xff is not UTF-8" in err and "Traceback" not in err
+
+
 def test_scenario_mismatch_is_contract_error(trained):
     rc = _run(trained, "--scenario", "warm_start", "split")
     assert rc == 2

@@ -158,19 +158,6 @@ def test_positives_index_matches_sets():
     assert not empty.holds(1, 2) and empty.degrees().tolist() == [0, 0]
 
 
-@pytest.mark.parametrize("n_rows,n_cols", [(10, 13), (3, 8), (1, 1), (7, 64)])
-def test_positives_bit_table_agrees_with_contains(n_rows, n_cols):
-    """`contains_bits` answers `contains` on every cell, the last byte's
-    spare bits included, with one bit per cell."""
-    rng = np.random.default_rng(n_rows * n_cols)
-    rel = InteractionSet.from_pairs(Kind.USER_BUNDLE, rng.integers(0, n_rows, 40),
-                                    rng.integers(0, n_cols, 40))
-    idx = PositivesIndex.of(rel, n_rows, n_cols)
-    rows, cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
-    np.testing.assert_array_equal(idx.contains_bits(rows, cols), idx.contains(rows, cols))
-    assert idx._bits.nbytes == -(-n_rows * n_cols // 8)
-
-
 @pytest.mark.parametrize("bad", ["user_bundle.tsv", "user_item.tsv", "bundle_item.tsv"])
 @pytest.mark.parametrize("line, reason", [("3\t4\t5", "got 3"), ("3", "got 1"),
                                           ("3\tx", "non-integer")])
@@ -184,6 +171,17 @@ def test_ingest_reports_bad_line_number(tmp_path, bad, line, reason):
         ingest_remap(raw, tmp_path / "out")
     assert (exc.value.path, exc.value.line_no) == (raw / bad, 3)
     assert f"{bad}:3:" in str(exc.value)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_read_pairs_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
+    """A byte that is not UTF-8 is a ParseError on the line that holds it,
+    counted as the line loop counts lines, with every newline convention."""
+    path = tmp_path / "x.tsv"
+    path.write_bytes(b"1\t2" + newline + newline + b"3\t\xff4" + newline)
+    with pytest.raises(ParseError, match="byte 0xff is not UTF-8") as exc:
+        load_interactions(path, Kind.USER_BUNDLE)
+    assert (exc.value.path, exc.value.line_no) == (path, 3)
 
 
 def test_ingest_remap_dense_and_stable(tmp_path):

@@ -34,16 +34,16 @@ GOLDEN = [
 EXPECTED = {
     "stage1": "f3ada4f8b0a92c370a2b377b2d1b4478bbb974ce1bad6c0cf32fc434e4aff767",
     "stage2": "6204d574ac4fee22d9fca1a94535827b9b097dbc7c200af4e0676096a2416340",
-    "stage3": "5fde82093b66b873ffc61e7b2056f0c8948c973fb44991f2b83682a2a43a0cb2",
-    "metrics": "aa93780dc092c6e02f75bfa9e08072763944132a083dc27b03ce743d0b5a6d30",
+    "stage3": "9deec655591765db3dbdfd4360df7425992253ede46436c48a522e17b4dcd662",
+    "metrics": "cda082f1ba47ed766929b3c8fa547f0fddbdd6753d8be58a42d5a5dce0034ddb",
 }
 
 EXPECTED_SCENARIOS = {
     "all_bundle": {
         "stage1": "f70eaf223615810fef280ad4c391c38df93b21ba7c74f4bd0819fce8f42ead72",
         "stage2": "e65b03edcccd1dd1981cdb1d57b1741b476998a808f9c4c37731e0487df2694d",
-        "stage3": "e85e56f9db382cbfd7348c307f0fbf7345f9487c9ff5fb634ef7a6cb005e6547",
-        "metrics": "fd92417e9946185748b01cc0396341b5313d36f8a8352cd8ac2bd6f29b259b23",
+        "stage3": "0e9883aee0007e66c2e0ae4d1ce05cffa37ee9f60da11a3233d5d1f4de0305d7",
+        "metrics": "9dd2dc0e745f6b8492befb2694e0054b87c6e6aea8c99f839f3f63bc4b5e8790",
     },
     "warm_start": {
         "stage1": "7537d8df2c7aa30a34be7aeade3385d1b08f97b506485b218afec5900d15927b",
@@ -56,8 +56,8 @@ EXPECTED_SCENARIOS = {
 # cold_start with --stage3-batch 128; stages 1 and 2 do not read the batch.
 EXPECTED_BATCHED = {
     **EXPECTED,
-    "stage3": "02343fbe63a2131a8bc70a927177dc0c30d74f3b9a082d10189cfe2d79e9992a",
-    "metrics": "3d6e608411e543f525a71b409abab6cdb4bf6549e898e3d890f464148c6dfb6d",
+    "stage3": "a206976a73e094b03149320f094e022cadd0197867a8954091f9c73449e66fa3",
+    "metrics": "688ebc3b00df7f0f9997e466cc278029d501b5c1e99c8c31afc7e6c389f88005",
 }
 
 

@@ -2,13 +2,12 @@
 
 import dataclasses
 import hashlib
-import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from coldbundle import graph, moe
+from coldbundle import graph, moe, rng as rng_module
 from coldbundle.config import RunConfig
 from coldbundle.data import Catalog, InteractionSet, Kind, Scenario, make_split, synth_blockmodel
 from coldbundle.errors import ContractError, DegenerateSplitError
@@ -20,8 +19,7 @@ from coldbundle.moe import (
     stage3_loss_and_grads, train_stage3, two_view_scores, view_gate,
 )
 from coldbundle.nn import finite_diff_check
-from coldbundle.rng import Rng
-from samplers_reference import UNDERFLOW, sample_pseudo_triples_reference
+from coldbundle.rng import Rng, johnk_log_ratio
 from stage3_reference import stage3_loss_reference, train_stage3_reference, view_phase_reference
 
 
@@ -380,11 +378,27 @@ def test_fork_score_matrices_equal_score_matrix_bitwise(n_forks):
         assert m.tobytes() == moe._score_matrix(x, rb_bint, rb_iint, g).tobytes()
 
 
+def _assert_valid(split, triples):
+    """Every record draws an eligible user, two distinct positives of that
+    user, two distinct bundles outside its positives, and ratios in [0, 1]."""
+    positives = split.train_positives
+    u = triples["u"]
+    assert np.all(positives.degrees()[u] >= 2)
+    for side, held in (("pos", True), ("neg", False)):
+        bx, by, lam = moe._sources(triples, side)
+        assert np.all(bx != by)
+        assert np.all(positives.contains(u, bx) == held)
+        assert np.all(positives.contains(u, by) == held)
+        assert np.all((bx >= 0) & (bx < split.catalog.n_bundles))
+        assert np.all((by >= 0) & (by < split.catalog.n_bundles))
+        assert np.all((lam >= 0.0) & (lam <= 1.0))
+
+
 def test_pseudo_triples_properties():
     split, _ = _tiny()
     rng = Rng(7)
     triples = sample_pseudo_triples(split, 30, 0.9, rng)
-    assert len(triples) == 30
+    assert len(triples) == 30 and triples.dtype == moe.PSEUDO_DTYPE
     pos_sets = {}
     for u, b in zip(split.train_x.rows.tolist(), split.train_x.cols.tolist()):
         pos_sets.setdefault(u, set()).add(b)
@@ -406,42 +420,84 @@ def _train_only(split, n_users, n_bundles, rows, cols):
                                train_x=InteractionSet.from_pairs(Kind.USER_BUNDLE, rows, cols))
 
 
-def _assert_pseudo_matches_reference(split, count, alpha, seed):
-    a, b = Rng(seed), Rng(seed)
-    got = sample_pseudo_triples(split, count, alpha, a)
-    want = sample_pseudo_triples_reference(split, count, alpha, b)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert a._counter == b._counter
-    return a._counter
-
-
-@pytest.mark.parametrize("alpha", [0.9, 0.02, 0.002])
-def test_pseudo_triples_equal_scalar_reference(alpha):
-    """The replayed sampler gives the scalar sampler's records and final
-    counter; at alpha 0.002 Johnk's log-scale underflow branch runs."""
+def _sampler_cases():
+    """The 60 x 30 synthetic split, pools of exactly two positives, and
+    users that leave only two free bundles."""
     cat, x, y, z = synth_blockmodel(60, 80, 30, 3, 5, 0.3, 3)
-    split = make_split(x, y, z, cat, Scenario.COLD_START, seed=3)
-    UNDERFLOW["hits"] = 0
-    for seed in range(3):
-        _assert_pseudo_matches_reference(split, 400, alpha, seed)
-    if alpha == 0.002:
-        assert UNDERFLOW["hits"] > 0
-
-
-def test_pseudo_triples_two_positive_pools_and_crowded_negatives(time_limit):
-    """Pools of exactly two positives, and users leaving only two free
-    bundles, so most negative pairs are redrawn."""
-    split, _ = _tiny()
+    synth = make_split(x, y, z, cat, Scenario.COLD_START, seed=3)
     n_users, n_bundles = 6, 12
-    pairs = [(u, (u + k) % n_bundles) for u in range(n_users) for k in range(2)]
-    two = _train_only(split, n_users, n_bundles, *zip(*pairs))
-    crowd = [(u, b) for u in range(n_users) for b in range(n_bundles) if b not in (u, u + 1)]
-    tight = _train_only(split, n_users, n_bundles, *zip(*crowd))
-    with time_limit(20):
-        for seed in range(3):
-            _assert_pseudo_matches_reference(two, 200, 0.9, seed)
-            # a valid negative pair is 2 of 144 ordered draws
-            assert _assert_pseudo_matches_reference(tight, 200, 0.9, seed) > 200 * 40
+    two = [(u, (u + k) % n_bundles) for u in range(n_users) for k in range(2)]
+    tight = [(u, b) for u in range(n_users) for b in range(n_bundles) if b not in (u, u + 1)]
+    return {"synth": synth,
+            "two": _train_only(synth, n_users, n_bundles, *zip(*two)),
+            "tight": _train_only(synth, n_users, n_bundles, *zip(*tight))}
+
+
+SAMPLER_CASES = _sampler_cases()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.9, 0.02, 0.002])
+def test_pseudo_triples_are_valid(monkeypatch, alpha):
+    """Valid records on the 60 x 30 split at every alpha; at 0.002 both
+    powers of some accepted Johnk pairs underflow, and the log-scale ratio
+    decides them."""
+    hits = []
+
+    def spy(*args):
+        hits.append(args)
+        return johnk_log_ratio(*args)
+    monkeypatch.setattr(rng_module, "johnk_log_ratio", spy)
+    split = SAMPLER_CASES["synth"]
+    for seed in range(3):
+        triples = sample_pseudo_triples(split, 400, alpha, Rng(seed))
+        assert len(triples) == 400
+        _assert_valid(split, triples)
+    assert (len(hits) > 0) == (alpha == 0.002)
+
+
+def test_pseudo_triples_two_positive_pools_and_crowded_negatives():
+    """Pools of exactly two positives give both orders of the pair; users
+    that leave two free bundles give both orders of those two."""
+    two, tight = SAMPLER_CASES["two"], SAMPLER_CASES["tight"]
+    for seed in range(3):
+        for split, side, pair in ((two, "pos", lambda u: {u, (u + 1) % 12}),
+                                  (tight, "neg", lambda u: {u, u + 1})):
+            triples = sample_pseudo_triples(split, 200, 0.9, Rng(seed))
+            _assert_valid(split, triples)
+            bx, by, _ = moe._sources(triples, side)
+            seen = set()
+            for u, x_, y_ in zip(triples["u"].tolist(), bx.tolist(), by.tolist()):
+                assert {x_, y_} == pair(u)
+                seen.add(x_ == min(pair(u)))
+            assert seen == {True, False}
+
+
+def test_pseudo_negatives_are_uniform_over_free_bundles():
+    """One user holding 4 of 130 bundles: 200,000 negative draws spread
+    over its 126 free bundles within six standard deviations of the
+    expected count each, and never on a positive."""
+    split = _train_only(SAMPLER_CASES["synth"], 1, 130, [0] * 4, [3, 40, 41, 129])
+    triples = sample_pseudo_triples(split, 100_000, 0.9, Rng(11))
+    counts = np.bincount(np.r_[triples["neg_x"], triples["neg_y"]], minlength=130)
+    free = np.setdiff1d(np.arange(130), [3, 40, 41, 129])
+    assert counts[[3, 40, 41, 129]].sum() == 0
+    expected = 200_000 / free.size
+    assert np.abs(counts[free] - expected).max() <= 6 * np.sqrt(expected)
+
+
+def test_pseudo_negatives_of_crowded_users_take_no_redraws():
+    """A user that leaves 2 of 60 bundles free, a valid pair once in 1,800
+    ordered draws for a redraw loop, costs the stream no more than a user
+    that leaves 58 free: only Johnk's rounds vary with the values drawn."""
+    crowded = _train_only(SAMPLER_CASES["synth"], 2, 60, [0] * 58 + [1, 1],
+                          list(range(2, 60)) + [0, 1])
+    roomy = _train_only(SAMPLER_CASES["synth"], 2, 60, [0, 0, 1, 1], [2, 3, 0, 1])
+    counters = []
+    for split in (crowded, roomy):
+        rng = Rng(4)
+        _assert_valid(split, sample_pseudo_triples(split, 1000, 0.9, rng))
+        counters.append(rng._counter)
+    assert counters[0] == counters[1]
 
 
 @st.composite
@@ -459,103 +515,34 @@ def _train_pairs(draw):
 
 @given(_train_pairs(), st.integers(0, 40), st.sampled_from([0.9, 0.02, 0.002]),
        st.integers(0, 2**32))
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_pseudo_triples_replay_property(time_limit, case, count, alpha, seed):
-    """On any small split the replay equals the scalar reference, or both
-    raise the same error before drawing."""
+@settings(max_examples=150, deadline=None)
+def test_pseudo_triples_property(case, count, alpha, seed):
+    """On any small split the sampler gives `count` valid records, or, when
+    an eligible user leaves fewer than two bundles free, raises before any
+    draw."""
     n_users, n_bundles, pairs = case
     split = _train_only(_tiny()[0], n_users, n_bundles,
                         [u for u, _ in pairs], [b for _, b in pairs])
-    a, b = Rng(seed), Rng(seed)
-    with time_limit(10):
-        try:
-            want = sample_pseudo_triples_reference(split, count, alpha, b)
-        except DegenerateSplitError as err:
-            with pytest.raises(DegenerateSplitError, match=re.escape(str(err))):
-                sample_pseudo_triples(split, count, alpha, a)
-            assert a._counter == b._counter == 0
-            return
-        got = sample_pseudo_triples(split, count, alpha, a)
-    assert got.tobytes() == want.tobytes() and a._counter == b._counter
+    degrees = split.train_positives.degrees()
+    crowded = np.any((degrees >= 2) & (n_bundles - degrees < 2))
+    rng = Rng(seed)
+    if crowded:
+        with pytest.raises(DegenerateSplitError):
+            sample_pseudo_triples(split, count, alpha, rng)
+        assert rng._counter == 0
+        return
+    triples = sample_pseudo_triples(split, count, alpha, rng)
+    assert len(triples) == (count if np.any(degrees >= 2) else 0)
+    _assert_valid(split, triples)
 
 
-def _window_cases():
-    """Splits for the window tests: the 60 x 30 synthetic split (pools up to
-    its largest length), pools of exactly two positives, and users that
-    leave only two free bundles."""
-    cat, x, y, z = synth_blockmodel(60, 80, 30, 3, 5, 0.3, 3)
-    synth = make_split(x, y, z, cat, Scenario.COLD_START, seed=3)
-    n_users, n_bundles = 6, 12
-    two = [(u, (u + k) % n_bundles) for u in range(n_users) for k in range(2)]
-    tight = [(u, b) for u in range(n_users) for b in range(n_bundles) if b not in (u, u + 1)]
-    return {"synth": synth,
-            "two": _train_only(synth, n_users, n_bundles, *zip(*two)),
-            "tight": _train_only(synth, n_users, n_bundles, *zip(*tight))}
-
-
-WINDOW_CASES = _window_cases()
-
-
-def _window_spy(monkeypatch, sizes):
-    """Record the number of raws of every window the sampler builds."""
-    build = moe._PseudoWindow.__init__
-
-    def spy(self, raws, *args):
-        sizes.append(raws.size)
-        build(self, raws, *args)
-    monkeypatch.setattr(moe._PseudoWindow, "__init__", spy)
-
-
-@given(st.integers(1, 40), st.sampled_from(sorted(WINDOW_CASES)),
-       st.sampled_from([0.9, 0.5, 0.02, 0.002]), st.integers(1, 40), st.integers(0, 2**32))
-@settings(max_examples=80, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_pseudo_triples_across_window_boundaries(monkeypatch, time_limit, window, case, alpha,
-                                                 count, seed):
-    """With windows of a few raws, chains run past the window's end over
-    and over; records and final counter still equal the scalar reference's
-    bit for bit."""
-    monkeypatch.setattr(moe, "PSEUDO_WINDOW", window)
-    split = WINDOW_CASES[case]
-    a, b = Rng(seed), Rng(seed)
-    with time_limit(20):
-        got = sample_pseudo_triples(split, count, alpha, a)
-    want = sample_pseudo_triples_reference(split, count, alpha, b)
-    assert got.tobytes() == want.tobytes() and a._counter == b._counter
-
-
-def test_pseudo_negatives_past_the_window_keep_it_bounded(monkeypatch, time_limit):
-    """A user that leaves two of 60 bundles free needs about 3,600 negative
-    pairs per triple.  Loops that long leave the window and are drawn one
-    at a time, so no window grows with them, and the records and counter
-    still equal the reference's."""
-    split = WINDOW_CASES["synth"]
-    held = [(0, b) for b in range(2, 60)] + [(1, 0), (1, 1)]
-    long_loops = _train_only(split, 2, 60, *zip(*held))
-    monkeypatch.setattr(moe, "PSEUDO_WINDOW", 64)
-    sizes = []
-    _window_spy(monkeypatch, sizes)
-    with time_limit(60):
-        spent = _assert_pseudo_matches_reference(long_loops, 12, 0.9, 4)
-    assert spent > 12 * 1000 and max(sizes) < 500
-
-
-def test_pseudo_triples_largest_pools_across_windows(monkeypatch, time_limit):
-    """Windows shorter than the largest pool: a triple's keys alone span
-    several extensions, at every alpha, the underflow branch included."""
-    split = WINDOW_CASES["synth"]
-    assert split.train_positives.degrees().max() >= 2 * 3
-    monkeypatch.setattr(moe, "PSEUDO_WINDOW", 3)
-    sizes = []
-    _window_spy(monkeypatch, sizes)
-    UNDERFLOW["hits"] = 0
-    with time_limit(20):
-        for alpha in (0.9, 0.5, 0.02, 0.002):
-            for seed in range(2):
-                _assert_pseudo_matches_reference(split, 150, alpha, seed)
-    assert UNDERFLOW["hits"] > 0
-    assert max(sizes) > 2 * 3  # windows extended by more than one fetch
+def test_pseudo_triples_repeat_per_seed_and_allow_none():
+    split = SAMPLER_CASES["synth"]
+    a = sample_pseudo_triples(split, 300, 0.9, Rng(3))
+    assert a.tobytes() == sample_pseudo_triples(split, 300, 0.9, Rng(3)).tobytes()
+    assert a.tobytes() != sample_pseudo_triples(split, 300, 0.9, Rng(4)).tobytes()
+    empty = sample_pseudo_triples(split, 0, 0.9, Rng(3))
+    assert len(empty) == 0 and empty.dtype == moe.PSEUDO_DTYPE
 
 
 class _BoundaryRng(Rng):
@@ -572,45 +559,30 @@ class _BoundaryRng(Rng):
             | (r & np.uint64(0x7FF))
 
 
-class _TiedRng(Rng):
-    """A stream in which every odd raw of Rng's becomes the largest raw, so
-    that the keys of a pool tie often, with each other and with the
-    padding past a shorter pool."""
-
-    def raw(self, n):
-        r = super().raw(n)
-        return np.where(r & np.uint64(1), np.uint64(2**64 - 1), r)
-
-
-def test_pseudo_triples_keep_the_stable_tie_rule():
-    """Tied keys pick the lower position first, as the reference's stable
-    sort does, also when every key but the smallest is the largest raw."""
-    for split in (WINDOW_CASES["two"], WINDOW_CASES["synth"]):
-        for seed in range(3):
-            a, b = _TiedRng(seed), _TiedRng(seed)
-            got = sample_pseudo_triples(split, 300, 0.9, a)
-            want = sample_pseudo_triples_reference(split, 300, 0.9, b)
-            assert got.tobytes() == want.tobytes() and a._counter == b._counter
-
-
 @pytest.mark.parametrize("toward", [np.inf, -np.inf])
 def test_pseudo_triples_survive_an_ulp_off_array_pow(monkeypatch, toward):
     """The array pow may round an ulp away from the scalar pow.  With every
     array power pushed one ulp toward `toward`, on a stream full of pairs
     whose scalar sum is exactly 1 or one ulp above it, the records and the
-    final counter still equal the scalar reference's."""
-    monkeypatch.setattr(moe, "_array_pow", lambda x, e: np.nextafter(np.power(x, e), toward))
+    final counter are those of the unpatched sampler."""
     u01 = (_BoundaryRng(0).raw(64) >> np.uint64(11)) * 2.0 ** -53
     sums = u01[:-1] + u01[1:]
     assert np.any(sums == 1.0) and np.any(sums == 1.0 + 2.0 ** -52)
-    for split in (WINDOW_CASES["synth"], WINDOW_CASES["tight"]):
-        for seed in range(3):
-            a, b = _BoundaryRng(seed), _BoundaryRng(seed)
-            got = sample_pseudo_triples(split, 200, 1.0, a)
-            want = sample_pseudo_triples_reference(split, 200, 1.0, b)
-            assert got.tobytes() == want.tobytes() and a._counter == b._counter
-    for alpha in (0.9, 0.5, 0.02):
-        _assert_pseudo_matches_reference(WINDOW_CASES["synth"], 300, alpha, 5)
+    runs = [(split, rng_type, alpha, seed)
+            for split in (SAMPLER_CASES["synth"], SAMPLER_CASES["tight"])
+            for rng_type, alpha in ((_BoundaryRng, 1.0), (Rng, 0.9), (Rng, 0.5), (Rng, 0.02))
+            for seed in range(3)]
+
+    def draw_all():
+        out = []
+        for split, rng_type, alpha, seed in runs:
+            rng = rng_type(seed)
+            out.append((sample_pseudo_triples(split, 200, alpha, rng).tobytes(), rng._counter))
+        return out
+    want = draw_all()
+    monkeypatch.setattr(rng_module, "_array_pow",
+                        lambda x, e: np.nextafter(np.power(x, e), toward))
+    assert draw_all() == want
 
 
 def _with_train_pairs(split, user, bundles):
